@@ -36,6 +36,13 @@ def _positive_int(text):
     return v
 
 
+def _nonnegative_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return v
+
+
 def _int_list(text):
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -268,8 +275,10 @@ def build_parser():
         prog="tardos",
         description="Collusion-resistant fingerprinting: codes, tracing, "
                     "attacks, provable bounds, and simulation.")
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("TARDOS_SEED", "0")),
+    # A string default goes through ``type`` too, so TARDOS_SEED is checked
+    # like the flag.
+    parser.add_argument("--seed", type=_nonnegative_int,
+                        default=os.environ.get("TARDOS_SEED", "0"),
                         help="master seed (default: TARDOS_SEED or 0)")
     parser.add_argument("--threads", type=_positive_int,
                         default=os.cpu_count() or 1,

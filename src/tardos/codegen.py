@@ -16,6 +16,8 @@ The trailing checksum is CRC-64/XZ over every preceding byte.
 """
 
 import math
+import os
+import secrets
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,9 +38,22 @@ DEFAULT_MAX_BITS = 1 << 33
 _SUPPORT_SLOP = 1e-12
 
 # ---------------------------------------------------------------------------
-# CRC-64/XZ (reflected poly 0xC96C5795D7870F42, init/xorout all-ones).
-# Implemented slice-by-8 against a bytewise reference; check value:
-# crc64(b"123456789") == 0x995DC9BBDF1939FA.
+# CRC-64/XZ (reflected poly 0xC96C5795D7870F42, init/xorout all-ones); check
+# value crc64(b"123456789") == 0x995DC9BBDF1939FA.
+#
+# Slice-by-8 (Kounavis & Berry, ISCC 2005) advances the raw register one
+# 8-byte word at a time: with v = register ^ word, the next register is the
+# XOR over k of table[7 - k][byte k of v]. That map is "append 8 zero bytes"
+# applied to v, and it is linear over GF(2), so a register that has read
+# chunk A and then chunk B equals zeros(len B)(register after A) ^ (register
+# of B read from zero). Long inputs use this, as zlib's crc32_combine does:
+# the body is cut into K equal lanes; numpy advances all K registers together,
+# one word per step (the initial value goes into lane 0); then adjacent lanes
+# are folded pairwise with the operator that appends one lane's worth of zero
+# bytes, whose table is built by squaring the 8-byte step table. Remainder
+# words and the last < 8 bytes, and inputs too short for lanes to pay, take
+# the scalar loop. The bytewise oracle the tests compare against lives in
+# tests/test_codegen.py.
 
 _CRC_POLY_REFLECTED = 0xC96C5795D7870F42
 _CRC_MASK = (1 << 64) - 1
@@ -59,30 +74,81 @@ def _crc_tables():
 
 
 _CRC_TABLES = _crc_tables()
+# The 8-byte step as an operator table: row k is indexed by byte k of v.
+_CRC_STEP = np.array(_CRC_TABLES[::-1], dtype="<u8")
+
+# Lane count: a power of two, at most _MAX_LANES, with every lane at least
+# _LANE_WORDS words long. Below _MIN_LANES lanes (inputs under 8 KiB) the
+# lane path's fixed cost (fold tables, fold) and its numpy calls per step
+# outweigh the scalar loop.
+_MAX_LANES = 4096
+_MIN_LANES = 128
+_LANE_WORDS = 8
+
+
+def _zeros_apply(op, regs):
+    """Apply the linear operator table ``op`` (8 x 256) to each register."""
+    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8)
+    octets = octets.reshape(regs.shape + (8,))
+    out = np.take(op[0], octets[..., 0])
+    for k in range(1, 8):
+        out ^= np.take(op[k], octets[..., k])
+    return out
+
+
+def _zeros_op(words):
+    """Operator table that appends ``words`` (>= 1) zero words to a register."""
+    op, square = None, _CRC_STEP
+    while True:
+        if words & 1:
+            op = square if op is None else _zeros_apply(square, op)
+        words >>= 1
+        if not words:
+            return op
+        square = _zeros_apply(square, square)
+
+
+def _lane_count(words):
+    lanes = min(_MAX_LANES, words // _LANE_WORDS)
+    return 1 << (lanes.bit_length() - 1) if lanes >= _MIN_LANES else 0
+
+
+def _crc_lanes(state, buf, lanes, steps):
+    """Raw register after reading ``lanes * steps`` words of ``buf`` from ``state``."""
+    words = np.frombuffer(buf, dtype="<u8", count=lanes * steps).reshape(lanes, steps)
+    regs = np.zeros(lanes, dtype="<u8")
+    regs[0] = state
+    for j in range(steps):
+        regs = _zeros_apply(_CRC_STEP, regs ^ words[:, j])
+    op = _zeros_op(steps)
+    while regs.size > 1:
+        regs = _zeros_apply(op, regs[0::2]) ^ regs[1::2]
+        op = _zeros_apply(op, op)
+    return int(regs[0])
 
 
 def crc64(data, crc=0):
     """CRC-64/XZ of ``data``; pass a previous result as ``crc`` to chain."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    try:
+        buf = memoryview(data).cast("B")
+    except TypeError:  # not a contiguous buffer, e.g. an iterable of ints
+        buf = memoryview(bytes(data))
     state = (crc ^ _CRC_MASK) & _CRC_MASK
-    buf = bytes(data)
+    lanes = _lane_count(len(buf) // 8)
+    done = 0
+    if lanes:
+        steps = len(buf) // 8 // lanes
+        state = _crc_lanes(state, buf, lanes, steps)
+        done = 8 * lanes * steps
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     head = len(buf) - len(buf) % 8
-    if head:
-        for word in np.frombuffer(buf[:head], dtype="<u8").tolist():
+    if head > done:
+        for word in np.frombuffer(buf[done:head], dtype="<u8").tolist():
             v = state ^ word
             state = (t7[v & 0xFF] ^ t6[(v >> 8) & 0xFF] ^ t5[(v >> 16) & 0xFF]
                      ^ t4[(v >> 24) & 0xFF] ^ t3[(v >> 32) & 0xFF] ^ t2[(v >> 40) & 0xFF]
                      ^ t1[(v >> 48) & 0xFF] ^ t0[v >> 56])
     for byte in buf[head:]:
-        state = (state >> 8) ^ t0[(state ^ byte) & 0xFF]
-    return state ^ _CRC_MASK
-
-
-def crc64_bytewise(data, crc=0):
-    """Reference bytewise implementation (kept for cross-checking)."""
-    t0 = _CRC_TABLES[0]
-    state = (crc ^ _CRC_MASK) & _CRC_MASK
-    for byte in bytes(data):
         state = (state >> 8) ^ t0[(state ^ byte) & 0xFF]
     return state ^ _CRC_MASK
 
@@ -233,14 +299,24 @@ def save_codebook(cb, path):
         cb.rows.astype("<u8").tobytes(),
     ]
     body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<Q", crc64(body)))
+    # Write beside the target and rename over it, so a failed save leaves the
+    # previous file intact. Mode "x" creates the file with the permissions a
+    # plain open(path, "wb") would give it.
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(body)
+            fh.write(struct.pack("<Q", crc64(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Cursor:
     def __init__(self, buf):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.off = 0
 
     def take(self, k, what):
@@ -277,10 +353,11 @@ def load_codebook(path):
     stored_crc = cur.u64("checksum")
     if cur.off != len(blob):
         raise CodebookFormatError("trailing bytes after checksum")
-    if crc64(blob[:cur.off - 8]) != stored_crc:
+    if crc64(cur.buf[:cur.off - 8]) != stored_crc:
         raise CodebookChecksumError("checksum mismatch: file is corrupt")
 
-    params = SchemeParams.from_kv_text(params_blob.decode("utf-8")) if params_blob else None
+    params = (SchemeParams.from_kv_text(str(params_blob, "utf-8"))
+              if params_blob else None)
     p = np.frombuffer(bias_raw, dtype="<f8").copy()
     if words != _words_per_row(m):
         raise CodebookFormatError("words per row disagrees with bias length")

@@ -325,6 +325,19 @@ class TestConfigAndLogging:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, run_cli, monkeypatch, tmp_path, seed):
+        gen = ["generate", "--users", "5", "--length", "64", "--threshold",
+               "3", "--cutoff", "0.01", "--out", str(tmp_path / "cb.bin")]
+        res = run_cli(["--seed", seed] + gen)
+        assert res.code == 2
+        assert "--seed" in res.err
+        monkeypatch.setenv("TARDOS_SEED", seed)
+        res = run_cli(gen)
+        assert res.code == 2
+        assert "--seed" in res.err
+        assert not (tmp_path / "cb.bin").exists()
+
     def test_missing_codebook_is_io_error(self, run_cli):
         res = run_cli(["trace", "--codebook", "/nonexistent/cb.bin",
                        "--pirate", "/nonexistent/y.txt"])

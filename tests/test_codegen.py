@@ -1,9 +1,12 @@
 """Bias sampling, matrix generation, CRC, and the codebook file format."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tardos import (
@@ -23,9 +26,21 @@ from tardos import (
     sample_bias,
     save_codebook,
 )
-from tardos.codegen import crc64_bytewise
+from tardos import codegen
+from tardos.codegen import _CRC_TABLES, _LANE_WORDS, _MAX_LANES, _MIN_LANES
 
 from conftest import chi_square_gof
+
+_MASK64 = (1 << 64) - 1
+
+
+def crc64_bytewise(data, crc=0):
+    """Reference CRC-64/XZ, one table lookup per byte: the oracle for crc64."""
+    t0 = _CRC_TABLES[0]
+    state = (crc ^ _MASK64) & _MASK64
+    for byte in bytes(data):
+        state = (state >> 8) ^ t0[(state ^ byte) & 0xFF]
+    return state ^ _MASK64
 
 
 def small_params(**kw):
@@ -42,11 +57,55 @@ class TestCrc64:
     def test_empty(self):
         assert crc64(b"") == 0
 
+    # Smallest input that takes the lane path, and the smallest with the most
+    # lanes; each is an exact multiple of its lane count times 8 bytes.
+    LANE_MIN = 8 * _MIN_LANES * _LANE_WORDS
+    LANE_MAX = 8 * _MAX_LANES * _LANE_WORDS
+
+    def sizes(self):
+        out = {1, 7, 64, 1025, 100_000}
+        for edge in (self.LANE_MIN, self.LANE_MAX, 3 * self.LANE_MAX):
+            out.update(edge + d for d in (-8, -7, -1, 0, 1, 7, 8))
+        # Lane bodies with a remainder of whole words and a ragged tail.
+        out.update({self.LANE_MIN + 8 * 5 + 3, self.LANE_MAX + 8 * 4095 + 5})
+        return sorted(out)
+
     def test_matches_bytewise_reference(self):
-        rng = np.random.default_rng(11)
-        for size in (1, 7, 64, 1025, 100_000):
+        sizes = self.sizes()
+        blob = np.random.default_rng(11).integers(
+            0, 256, size=sizes[-1], dtype=np.uint8).tobytes()
+        # The oracle walks the blob once, chained from one cut to the next.
+        ref, lo = 0, 0
+        for size in sizes:
+            ref = crc64_bytewise(blob[lo:size], ref)
+            lo = size
+            assert crc64(blob[:size]) == ref, size
+
+    def test_sizes_cover_both_paths(self):
+        counts = [codegen._lane_count(size // 8) for size in self.sizes()]
+        assert 0 in counts and _MIN_LANES in counts and _MAX_LANES in counts
+
+    def test_chaining_through_lane_path(self):
+        rng = np.random.default_rng(12)
+        blob = rng.integers(0, 256, size=self.LANE_MAX + 4101, dtype=np.uint8).tobytes()
+        cut = self.LANE_MIN + 13
+        head = crc64(blob[:cut])
+        assert head == crc64_bytewise(blob[:cut])
+        assert crc64(blob[cut:], head) == crc64_bytewise(blob[cut:], head)
+        assert crc64(blob[cut:], head) == crc64(blob)
+        seed = 0x0123456789ABCDEF
+        assert crc64(blob, seed) == crc64_bytewise(blob, seed)
+
+    def test_buffer_types(self):
+        rng = np.random.default_rng(13)
+        for size in (1029, self.LANE_MIN + 21):
             blob = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-            assert crc64(blob) == crc64_bytewise(blob)
+            want = crc64_bytewise(blob)
+            assert crc64(bytearray(blob)) == want
+            assert crc64(memoryview(blob)) == want
+            assert crc64(memoryview(b"xx" + blob)[2:]) == want
+        words = rng.integers(0, 1 << 63, size=self.LANE_MIN // 8, dtype=np.uint64)
+        assert crc64(memoryview(words)) == crc64_bytewise(words.tobytes())
 
     def test_streaming_equals_one_shot(self):
         blob = bytes(range(256)) * 17
@@ -235,7 +294,89 @@ class TestCodebookFile:
         with pytest.raises(CodebookFormatError):
             load_codebook(path)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        sp = small_params(m=96, n=7)
+        cb, path = self._make(tmp_path, params=sp)
+        good = path.read_bytes()
+
+        class HalfWrite:
+            """File whose first write stores half its bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(codegen, "open",
+                            lambda *a, **kw: HalfWrite(real_open(*a, **kw)),
+                            raising=False)
+        other = gen_matrix(7, sample_bias(96, sp.t, seed=22), seed=22, params=sp)
+        with pytest.raises(OSError, match="disk full"):
+            save_codebook(other, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["cb.bin"]
+        assert np.array_equal(load_codebook(path).rows, cb.rows)
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        _, path = self._make(tmp_path, seed=21)
+        cb, _ = self._make(tmp_path, seed=23)
+        assert np.array_equal(load_codebook(path).rows, cb.rows)
+        assert os.listdir(tmp_path) == ["cb.bin"]
+
     def test_errors_are_oserrors(self):
         # Callers treating storage failures uniformly can catch OSError.
         assert issubclass(CodebookFormatError, OSError)
         assert issubclass(CodebookChecksumError, CodebookFormatError)
+
+
+@pytest.fixture(scope="module", params=["small", "lanes"])
+def saved_blob(request, tmp_path_factory):
+    """A saved codebook's bytes: one file under the lane threshold, one over."""
+    m, n = (96, 7) if request.param == "small" else (1000, 40)
+    sp = small_params(m=m, n=n)
+    path = tmp_path_factory.mktemp("fuzz") / "cb.bin"
+    save_codebook(gen_matrix(n, sample_bias(m, sp.t, seed=31), seed=31, params=sp), path)
+    blob = path.read_bytes()
+    assert (codegen._lane_count((len(blob) - 8) // 8) > 0) == (request.param == "lanes")
+    return blob
+
+
+def _load_bytes(blob, path):
+    path.write_bytes(blob)
+    return load_codebook(path)
+
+
+class TestCodebookFuzz:
+    """Every truncation and every single-bit flip is a typed format error."""
+
+    FUZZ = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_truncation(self, saved_blob, tmp_path, data):
+        cut = data.draw(st.integers(0, len(saved_blob) - 1), label="length")
+        with pytest.raises(CodebookFormatError):
+            _load_bytes(saved_blob[:cut], tmp_path / "cut.bin")
+
+    @FUZZ
+    @given(data=st.data())
+    def test_bit_flip(self, saved_blob, tmp_path, data):
+        bit = data.draw(st.integers(0, 8 * len(saved_blob) - 1), label="bit")
+        blob = bytearray(saved_blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(CodebookFormatError):
+            _load_bytes(bytes(blob), tmp_path / "flip.bin")
+
+    def test_unchanged_blob_loads(self, saved_blob, tmp_path):
+        assert _load_bytes(saved_blob, tmp_path / "ok.bin").n in (7, 40)

@@ -21,7 +21,6 @@ error guarantees stay provable":
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,9 +346,11 @@ def _slack_rows(c0, W, t, alpha2, L):
     return slack
 
 
-def _search_block(c0, R, seed, block_index, size):
+def _search_block(c0, R, seed, block_index, size, cut=math.inf):
     """One block of the randomized search; deterministic in (seed, block_index).
 
+    Rows whose lower bound on A is not below ``cut`` are dropped unscored, so
+    the block's result is exact whenever its best A lies below ``cut``.
     Returns (best A, tuple, counts) where counts tracks rows that died at the
     alpha2 stage or produced no valid draw.
     """
@@ -381,9 +382,10 @@ def _search_block(c0, R, seed, block_index, size):
             continue
         tc, Wc, Lc, qc, a1c, capc = (arr[sel][v] for arr in (t, W, L, q, alpha1, cap2))
         # A decreases in alpha2, so alpha2 = cap gives a true lower bound;
-        # rows that cannot beat the block best are dropped before grid work.
+        # rows that cannot beat the block best or the cut are dropped before
+        # grid work.
         A_lb = (Lc * qc / (qc - Lc)) * (qc + R / (c0 ** 2 * capc))
-        keep = A_lb < best[0]
+        keep = A_lb < min(best[0], cut)
         if not keep.any():
             continue
         tc, Wc, Lc, qc, a1c, capc = (arr[keep] for arr in (tc, Wc, Lc, qc, a1c, capc))
@@ -430,9 +432,18 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
 
         A = (L q / (q - L)) (q + R / (c0^2 alpha2)),  q = 1/(c0 alpha1),
 
-    keeping the minimum-A tuple. Deterministic for fixed (seed, iterations)
-    regardless of ``threads``: iterations are split into fixed blocks with one
-    random stream per block and reduced in block order.
+    keeping the minimum-A tuple. Deterministic for fixed (seed, iterations):
+    iterations are split into fixed blocks with one random stream per block
+    and reduced in block order with a strict ``<``.
+
+    Block 0 runs first and its best A becomes a fixed cut for every later
+    block, which drops rows whose lower bound A_lb (A at alpha2 = cap) is not
+    below it. This cannot change the result: alpha2 <= cap in floating point
+    too, so A >= A_lb, and a later block wins only with an A strictly below
+    block 0's. With no feasible point in block 0 the cut is inf and the
+    counts of an InfeasibleError are unchanged. The blocks run serially: once
+    cut, the later blocks are too cheap for a thread fan-out to pay, so
+    ``threads`` is kept for API compatibility and is not used.
     """
     if int(iterations) < 1:
         raise ParameterError("iterations must be at least 1")
@@ -444,12 +455,8 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
 
     blocks = [(i, min(_BLOCK, iterations - i * _BLOCK))
               for i in range((iterations + _BLOCK - 1) // _BLOCK)]
-    threads = max(1, int(threads))
-    if threads == 1:
-        results = [_search_block(c0, R, seed, bi, sz) for bi, sz in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _search_block(c0, R, seed, *b), blocks))
+    results = [_search_block(c0, R, seed, *blocks[0])]
+    results += [_search_block(c0, R, seed, bi, sz, results[0][0]) for bi, sz in blocks[1:]]
 
     best_A, best_tuple = math.inf, None
     counts = {"no_alpha2": 0, "invalid_draw": 0}
@@ -522,6 +529,8 @@ def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
     A depends on the two error targets only through R = ln(eps2)/ln(eps1), so
     cells fix eps1 (default 1e-10) and set eps2 = eps1^R. Each cell uses its
     own seed offset; per-cell auxiliary ratios are logged, not returned.
+    Cells run serially, like the blocks of each search; ``threads`` is kept
+    for API compatibility and is not used.
     """
     c0_list, R_list = tuple(c0_list), tuple(R_list)
     if not c0_list or not R_list:
@@ -533,7 +542,7 @@ def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
             raise ParameterError("R must be positive")
         for c0 in c0_list:
             eps2 = math.exp(R * math.log(eps1))
-            res = search_min_A(c0, eps1, eps2, iterations, seed + cell, threads=threads)
+            res = search_min_A(c0, eps1, eps2, iterations, seed + cell)
             tT = 1.0 / (300.0 * c0)
             log.info("cell R=%g c0=%d: A=%.4f B=%.4f t/tT=%.3f L/pi=%.4f "
                      "a1*10c0=%.3f a2*20c0=%.3f", R, c0, res.A, res.B, res.t / tT,

@@ -95,7 +95,11 @@ def cmd_generate(args):
     params = None
     if args.length is not None:
         m = args.length
-        if args.c0 is not None and args.eps1 is not None and args.eps2 is not None:
+        missing = [f"--{k}" for k in ("c0", "eps1", "eps2") if getattr(args, k) is None]
+        if args.threshold is not None and missing:
+            raise ParameterError(
+                f"--threshold is stored only with a full plan; also give {'/'.join(missing)}")
+        if not missing:
             params = SchemeParams(n=args.users, m=m, c0=args.c0, eps1=args.eps1,
                                   eps2=args.eps2, t=t, Z=args.threshold)
     else:
@@ -167,7 +171,7 @@ def cmd_trace(args):
 def cmd_search(args):
     eps2 = _resolve_eps2(args)
     res = bounds.search_min_A(args.c0, args.eps1, eps2, args.iterations,
-                              args.seed, threads=args.threads)
+                              args.seed)
     with _out_stream(args.out) as fh:
         for name in ("A", "B", "t", "L", "alpha1", "alpha2", "c0", "R",
                      "iterations_used"):
@@ -178,7 +182,7 @@ def cmd_search(args):
 def cmd_table(args):
     table = bounds.emit_search_table(args.c0_list, args.ratio_list,
                                      args.iterations, args.seed,
-                                     threads=args.threads, eps1=args.eps1)
+                                     eps1=args.eps1)
     with _out_stream(args.out) as fh:
         table.to_csv(fh)
     return 0
@@ -282,7 +286,9 @@ def build_parser():
                         help="master seed (default: TARDOS_SEED or 0)")
     parser.add_argument("--threads", type=_positive_int,
                         default=os.cpu_count() or 1,
-                        help="worker threads (default: machine parallelism)")
+                        help="worker threads for generate, trace and simulate; "
+                             "search and table run serially "
+                             "(default: machine parallelism)")
     parser.add_argument("--verbose", action="store_true",
                         help="debug-level logging")
     parser.add_argument("--config", default=None,

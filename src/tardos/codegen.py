@@ -296,9 +296,9 @@ def save_codebook(cb, path):
         cb.bias.p.astype("<f8").tobytes(),
         struct.pack("<Q", cb.n),
         struct.pack("<I", cb.rows.shape[1]),
-        cb.rows.astype("<u8").tobytes(),
+        # The rows are written and checksummed in place, without a copy.
+        memoryview(np.ascontiguousarray(cb.rows)),
     ]
-    body = b"".join(parts)
     # Write beside the target and rename over it, so a failed save leaves the
     # previous file intact. Mode "x" creates the file with the permissions a
     # plain open(path, "wb") would give it.
@@ -306,8 +306,11 @@ def save_codebook(cb, path):
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(body)
-            fh.write(struct.pack("<Q", crc64(body)))
+            crc = 0
+            for part in parts:
+                fh.write(part)
+                crc = crc64(part, crc)
+            fh.write(struct.pack("<Q", crc))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError, QuadratureError
 
@@ -156,6 +155,10 @@ def bias_density(dist, p):
 
 
 def _quad(fn, lo, hi, tol=QUAD_TOL):
+    # Imported here: scipy costs most of the CLI's start-up time, and only the
+    # quadrature paths need it.
+    from scipy import integrate
+
     val, err = integrate.quad(fn, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
     if not math.isfinite(val) or err > max(tol, tol * abs(val)):
         raise QuadratureError(

@@ -22,6 +22,8 @@ from tardos import (
     length_window,
     search_min_A,
 )
+from tardos import bounds
+from tardos.bounds import _BLOCK, _search_block
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -253,6 +255,20 @@ class TestGeneralCondition:
                 c=10, alpha2=1e-3, L=4.0, beta=1.0))
 
 
+def _unpruned_search(c0, eps1, eps2, seed, iterations):
+    """Reference search: every block without a cut, reduced in block order."""
+    R = bounds._ratio(eps1, eps2)
+    best_A, best, counts = math.inf, None, {"no_alpha2": 0, "invalid_draw": 0}
+    for start in range(0, iterations, _BLOCK):
+        A, tup, cnt = _search_block(c0, R, seed, start // _BLOCK,
+                                    min(_BLOCK, iterations - start))
+        for k in counts:
+            counts[k] += cnt[k]
+        if A < best_A:
+            best_A, best = A, tup
+    return best_A, best, counts
+
+
 @pytest.fixture(scope="module")
 def small_search():
     return search_min_A(c0=10, eps1=1e-10, eps2=10.0 ** -0.2, iterations=20_000, seed=0)
@@ -265,9 +281,10 @@ class TestSearch:
         assert again == small_search
 
     def test_thread_count_does_not_change_result(self, small_search):
-        eight = search_min_A(c0=10, eps1=1e-10, eps2=10.0 ** -0.2,
-                             iterations=20_000, seed=0, threads=8)
-        assert eight == small_search
+        for threads in (2, 8):
+            other = search_min_A(c0=10, eps1=1e-10, eps2=10.0 ** -0.2,
+                                 iterations=20_000, seed=0, threads=threads)
+            assert other == small_search
 
     def test_more_iterations_never_worse(self, small_search):
         # Iteration blocks are seeded by block index, so a longer run extends
@@ -296,6 +313,44 @@ class TestSearch:
         res = search_min_A(c0=80, eps1=1e-10, eps2=1e-1,
                            iterations=200_000, seed=0)
         assert res.A <= 42.6
+
+    @pytest.mark.parametrize("c0, R, seed, iterations", [
+        (10, 0.02, 0, 20_000),
+        (20, 0.06, 3, 4097),
+        (40, 0.10, 5, 4096),
+        (80, 0.06, 1, 9_000),
+        (3, 0.5, 2, 1_000),
+        (1, 0.3, 4, 8_192),
+    ])
+    def test_block_cut_matches_unpruned_search(self, c0, R, seed, iterations):
+        eps2 = 1e-10 ** R
+        A, tup, _ = _unpruned_search(c0, 1e-10, eps2, seed, iterations)
+        res = search_min_A(c0=c0, eps1=1e-10, eps2=eps2,
+                           iterations=iterations, seed=seed)
+        assert res.A == A
+        assert (res.t, res.L, res.alpha1, res.alpha2) == tup
+
+    @pytest.mark.parametrize("c0, R", [(10, 0.02), (80, 0.10), (3, 0.5)])
+    def test_block_exact_just_below_cut(self, c0, R):
+        # The tightest cut that keeps the block's best must not change it.
+        for block in range(4):
+            A, tup, _ = _search_block(c0, R, 11, block, _BLOCK)
+            cut = float(np.nextafter(A, math.inf))
+            assert _search_block(c0, R, 11, block, _BLOCK, cut)[:2] == (A, tup)
+
+    def test_infeasible_counts_match_unpruned_search(self, monkeypatch):
+        # No alpha2 satisfies the condition, so every block is infeasible and
+        # the cut stays at inf.
+        monkeypatch.setattr(bounds, "_slack_rows",
+                            lambda c0, W, t, alpha2, L: np.full(np.broadcast(
+                                W, t, alpha2, L).shape, -np.inf))
+        _, tup, counts = _unpruned_search(20, 1e-10, 1e-10 ** 0.06, 7, 10_000)
+        assert tup is None
+        with pytest.raises(InfeasibleError) as exc:
+            search_min_A(c0=20, eps1=1e-10, eps2=1e-10 ** 0.06,
+                         iterations=10_000, seed=7)
+        assert exc.value.counts == counts
+        assert counts["no_alpha2"] + counts["invalid_draw"] == 10_000
 
     def test_validation(self):
         with pytest.raises(ParameterError):

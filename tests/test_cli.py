@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +60,19 @@ class TestGenerate:
         assert res.code == 0
         cb = load_codebook(path)
         assert cb.m == 500 and cb.params is None
+
+    @pytest.mark.parametrize("plan_flags", [[], ["--c0", "6", "--eps1", "0.02"]])
+    def test_threshold_without_plan_is_usage_error(self, tmp_path, run_cli,
+                                                   plan_flags):
+        # The threshold is stored only inside full plan params; dropping it
+        # silently would make a later trace without -Z fail.
+        path = tmp_path / "x.bin"
+        res = run_cli(["generate", "--users", "5", "--length", "64",
+                       "--threshold", "3", "--cutoff", "0.01", "--out", str(path)]
+                      + plan_flags)
+        assert res.code == 2
+        assert "--eps2" in res.err
+        assert not path.exists()
 
     def test_needs_length_or_plan_inputs(self, tmp_path, run_cli):
         res = run_cli(["generate", "--users", "5", "--cutoff", "0.001",
@@ -322,6 +338,17 @@ class TestConfigAndLogging:
         res = run_cli(["--help"])
         assert res.code == 0
         assert "generate" in res.out and "simulate" in res.out
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is most of the start-up time and only quadrature needs it.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, tardos.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:

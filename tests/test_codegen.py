@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,20 @@ class TestCodebookFile:
         cb, _ = self._make(tmp_path, seed=23)
         assert np.array_equal(load_codebook(path).rows, cb.rows)
         assert os.listdir(tmp_path) == ["cb.bin"]
+
+    def test_save_holds_no_copy_of_the_rows(self, tmp_path):
+        m, n = 8038, 2000
+        rows = np.random.default_rng(5).integers(
+            0, 2 ** 64, size=(n, (m + 63) // 64), dtype="<u8")
+        cb = Codebook(bias=sample_bias(m, 1e-3, seed=5), rows=rows, seed=5)
+        tracemalloc.start()
+        try:
+            save_codebook(cb, tmp_path / "big.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * rows.nbytes
+        assert np.array_equal(load_codebook(tmp_path / "big.bin").rows, rows)
 
     def test_errors_are_oserrors(self):
         # Callers treating storage failures uniformly can catch OSError.

@@ -82,16 +82,21 @@ class Strategy:
 
     @classmethod
     def from_csv(cls, text_or_path):
-        """Load a custom table from CSV rows ``x, psi(x)``.
+        """Load a custom table from a path or from raw CSV text.
 
-        Accepts a path or raw CSV text; an optional header row is skipped.
-        Every x in 0..c must appear exactly once.
+        An argument holding a newline or a comma is parsed as text.
         """
         if "\n" in str(text_or_path) or "," in str(text_or_path):
-            text = str(text_or_path)
-        else:
-            with open(text_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            return cls.from_csv_text(str(text_or_path))
+        with open(text_or_path, "r", encoding="utf-8") as fh:
+            return cls.from_csv_text(fh.read())
+
+    @classmethod
+    def from_csv_text(cls, text):
+        """Parse CSV rows ``x, psi(x)``; an optional header row is skipped.
+
+        Every x in 0..c must appear exactly once.
+        """
         entries = {}
         for row in csv.reader(io.StringIO(text)):
             if not row or not "".join(row).strip():

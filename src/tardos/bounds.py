@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError, InfeasibleError, ParameterError, TardosError
-from .model import (ARCSINE, BiasDistribution, _quad, expectation, g1,
+from .model import (ARCSINE, BiasDistribution, _ln_ceil, _quad, expectation, g1,
                     nu as nu_functional, tprime)
 from .rng import TAG_SEARCH, stream
 
@@ -40,10 +40,6 @@ def _ratio(eps1, eps2):
         if not 0.0 < v < 1.0:
             raise ParameterError(f"{name} must lie in (0, 1)")
     return math.log(eps2) / math.log(eps1)
-
-
-def _ln_ceil(eps1):
-    return math.ceil(math.log(1.0 / eps1))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +342,11 @@ def _slack_rows(c0, W, t, alpha2, L):
     return slack
 
 
+def _search_W(t, c0):
+    """W = (2 (1-t)^c0 - 1)/(pi - 4 t') over an array of cutoffs ``t``."""
+    return (2.0 * (1.0 - t) ** c0 - 1.0) / (math.pi - 4.0 * np.arcsin(np.sqrt(t)))
+
+
 def _search_block(c0, R, seed, block_index, size, cut=math.inf):
     """One block of the randomized search; deterministic in (seed, block_index).
 
@@ -362,8 +363,7 @@ def _search_block(c0, R, seed, block_index, size, cut=math.inf):
     valid = t > 0.0
     t = np.where(valid, t, 0.25 / c0)  # placeholder; masked out below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tp = np.arcsin(np.sqrt(t))
-        W = (2.0 * (1.0 - t) ** c0 - 1.0) / (math.pi - 4.0 * tp)
+        W = _search_W(t, c0)
         cap1 = np.minimum(1.7 * np.sqrt(t / (1.0 - t)), W / c0)
         alpha1 = cap1 * u1
         valid &= alpha1 > 0.0
@@ -482,7 +482,10 @@ def _verify_search_result(res):
 
     The left-boundary coefficient A/L - R/(alpha2 c0^2) must equal the
     soundness form q + A c0 alpha1 identically (they are two readings of the
-    same construction); disagreement flags an implementation bug.
+    same construction); disagreement flags an implementation bug. W comes from
+    the search's own expression, so the alpha2 cap matches the search's bit
+    for bit; the completeness condition is re-checked independently by
+    :func:`check_tardos_condition`.
     """
     c0, t, L, a1, a2, A, R = res.c0, res.t, res.L, res.alpha1, res.alpha2, res.A, res.R
     q = 1.0 / (c0 * a1)
@@ -494,7 +497,7 @@ def _verify_search_result(res):
             f"internal inconsistency: boundary B {B_left!r} vs soundness B {B_sound!r}")
     if not 0.0 < t < 0.5 / c0:
         raise TardosError("search result t out of range")
-    W = (2.0 * (1.0 - t) ** c0 - 1.0) / (math.pi - 4.0 * tprime(t))
+    W = float(_search_W(np.array([t]), c0)[0])
     if not 0.0 < a1 < min(1.7 * math.sqrt(t / (1.0 - t)), W / c0):
         raise TardosError("search result alpha1 out of range")
     if not 1.0 / W < L < q:

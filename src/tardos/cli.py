@@ -122,7 +122,8 @@ def cmd_generate(args):
 
 def _load_strategy(args, c):
     if args.psi_csv is not None:
-        strat = Strategy.from_csv(args.psi_csv)
+        with open(args.psi_csv, "r", encoding="utf-8") as fh:
+            strat = Strategy.from_csv_text(fh.read())
         if strat.c != c:
             raise ParameterError(
                 f"psi table is for coalition size {strat.c}, not {c}")
@@ -160,7 +161,7 @@ def cmd_trace(args):
         else:
             raise ParameterError(
                 "--threshold is required when the codebook carries none")
-    report = tracer.trace(cb, y.bits, Z, threads=args.threads)
+    report = tracer.trace(cb, y.bits, Z)
     with _out_stream(args.out) as fh:
         report.to_csv(fh)
     log.info("traced %d users at Z=%r: %d accused", cb.n, Z,
@@ -271,7 +272,7 @@ def _add_common(sub, *flags):
         sub.add_argument("--strategy", default="extremal",
                          help="built-in strategy name (default extremal)")
         sub.add_argument("--psi-csv", default=None,
-                         help="custom strategy table as CSV rows 'x,psi(x)'")
+                         help="custom strategy table: a CSV file of rows 'x,psi(x)'")
 
 
 def build_parser():
@@ -286,8 +287,8 @@ def build_parser():
                         help="master seed (default: TARDOS_SEED or 0)")
     parser.add_argument("--threads", type=_positive_int,
                         default=os.cpu_count() or 1,
-                        help="worker threads for generate, trace and simulate; "
-                             "search and table run serially "
+                        help="worker threads for generate and simulate; "
+                             "trace, search and table run serially "
                              "(default: machine parallelism)")
     parser.add_argument("--verbose", action="store_true",
                         help="debug-level logging")
@@ -431,7 +432,7 @@ def main(argv=None):
     except (ParameterError, CapacityError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # includes codebook format errors
+    except (OSError, UnicodeDecodeError) as exc:  # includes codebook format errors
         print(f"error: i/o: {exc}", file=sys.stderr)
         return 4
 

@@ -15,27 +15,23 @@ File format (all integers little-endian):
 The trailing checksum is CRC-64/XZ over every preceding byte.
 """
 
-import math
 import os
 import secrets
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError, ParameterError)
-from .model import BiasDistribution, ARCSINE, SchemeParams
-from .rng import TAG_BIAS, TAG_ROW, stream
+from .model import _SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams
+from .rng import TAG_BIAS, TAG_ROW, fan_out, stream
 
 MAGIC = b"TRDC"
 VERSION = 1
 
 # Default memory budget for a single codebook: 2^33 matrix bits = 1 GiB packed.
 DEFAULT_MAX_BITS = 1 << 33
-
-_SUPPORT_SLOP = 1e-12
 
 # ---------------------------------------------------------------------------
 # CRC-64/XZ (reflected poly 0xC96C5795D7870F42, init/xorout all-ones); check
@@ -272,14 +268,7 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS)
         for j in range(lo, hi):
             rows[j] = _pack_row(row_bits(bias, seed, j), words)
 
-    threads = max(1, int(threads))
-    if threads == 1 or n < 4:
-        fill(0, n)
-    else:
-        block = max(1, math.ceil(n / threads))
-        bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    fan_out(fill, n, threads)
     return Codebook(bias=bias, rows=rows, seed=int(seed), params=params)
 
 

@@ -11,6 +11,8 @@ The generator choice is documented behavior of this implementation, not a
 canonical part of the scheme; only the distributional contracts are.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 # Purpose tags. Never renumber: stream identities are part of the
@@ -50,3 +52,19 @@ def substreams(seed, tag, index, n):
     """
     children = seed_sequence(seed, tag, index).spawn(n)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
+
+
+def fan_out(fill, n, threads):
+    """Call ``fill(lo, hi)`` over contiguous ranges that cover ``[0, n)``.
+
+    One range per worker, inline for one worker or one index; an exception
+    raised in a worker is raised here. ``fill`` writes only the slots of its
+    own range, so the result does not depend on ``threads``.
+    """
+    threads = max(1, min(int(threads), n))
+    if threads == 1:
+        fill(0, n)
+        return
+    starts = range(0, n, -(-n // threads))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, starts, [*starts[1:], n]))

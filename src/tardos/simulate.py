@@ -16,7 +16,6 @@ per-trial results land in preallocated slots that are reduced in trial order.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .attacks import Strategy, forge
 from .errors import CapacityError, ParameterError
 from .gaussian import MomentSummary, erfc_inv, moments, normal_cdf
 from .model import ARCSINE, BiasDistribution, SchemeParams
-from .rng import TAG_TRIAL, substreams
+from .rng import TAG_TRIAL, fan_out, substreams
 from .tracer import _score_pieces
 
 __all__ = ["SimConfig", "SimReport", "Histogram", "HistogramBundle",
@@ -248,15 +247,7 @@ def run(cfg):
         "normalized": [None] * trials,
         "raw": [None] * trials,
     }
-    threads = max(1, int(cfg.threads))
-    if threads == 1 or trials == 1:
-        _run_trials(cfg, dist, 0, trials, slots)
-    else:
-        step = (trials + threads - 1) // threads
-        ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: _run_trials(cfg, dist, r[0], r[1], slots),
-                          ranges))
+    fan_out(lambda lo, hi: _run_trials(cfg, dist, lo, hi, slots), trials, cfg.threads)
 
     N = trials * K
     s1, s2, s3, s4 = (float(np.sum(slots[k])) for k in ("s1", "s2", "s3", "s4"))

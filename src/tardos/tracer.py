@@ -13,7 +13,6 @@ coalition's rows.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,8 @@ import numpy as np
 from .errors import ParameterError
 from .model import g0, g1
 
-# Rows per scoring block; fixed so that output is independent of thread count.
+# Rows per scoring block; bounds the float64 copy of the rows that each
+# matrix-vector product makes.
 _BLOCK = 256
 
 
@@ -119,10 +119,11 @@ class AccusationReport:
 def trace(cb, y, Z, threads=1, coalition=None):
     """Score every user of codebook ``cb`` against ``y`` and apply threshold Z.
 
-    Runs over 64-bit packed rows in fixed-size blocks; ``threads`` only
-    distributes blocks, so results are identical for any worker count. When
-    ``coalition`` (user indices) is given, the report carries their collective
-    sum as well.
+    Runs over 64-bit packed rows in fixed-size blocks, serially: each block is
+    one matrix-vector product, and a thread fan-out over them ran slower than
+    one thread, so ``threads`` is kept for API compatibility and is not used.
+    When ``coalition`` (user indices) is given, the report carries their
+    collective sum as well.
     """
     if math.isnan(Z):
         raise ParameterError("threshold must be a real number or +/-inf")
@@ -132,18 +133,9 @@ def trace(cb, y, Z, threads=1, coalition=None):
     wfull[mask] = w
     scores = np.empty(cb.n, dtype=np.float64)
 
-    def run_block(lo):
+    for lo in range(0, cb.n, _BLOCK):
         hi = min(lo + _BLOCK, cb.n)
         scores[lo:hi] = cb.block_bits(lo, hi).astype(np.float64) @ wfull + base
-
-    starts = range(0, cb.n, _BLOCK)
-    threads = max(1, int(threads))
-    if threads == 1:
-        for lo in starts:
-            run_block(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
 
     accused = np.flatnonzero(scores > Z).astype(np.int64)
     cscore = None

@@ -15,6 +15,7 @@ from tardos import (
     GeneralConditionInputs,
     InfeasibleError,
     ParameterError,
+    TardosError,
     check_general_condition,
     check_tardos_condition,
     closed_form_params,
@@ -351,6 +352,22 @@ class TestSearch:
                          iterations=10_000, seed=7)
         assert exc.value.counts == counts
         assert counts["no_alpha2"] + counts["invalid_draw"] == 10_000
+
+    @pytest.mark.parametrize("c0, R, seed", [(1, 0.3, 7), (1, 1.0, 42), (80, 0.01, 7)])
+    def test_verifier_judges_cap_winner_like_public_check(self, monkeypatch, c0, R, seed):
+        # These winners sit on or a few ulp below the search's alpha2 cap
+        # (W - 1/L)/c0, where the completeness slack is of rounding size. The
+        # range check must accept them (it uses the search's own W); the
+        # completeness check must agree with the public check_tardos_condition.
+        verify = bounds._verify_search_result
+        monkeypatch.setattr(bounds, "_verify_search_result", lambda res: None)
+        res = search_min_A(c0=c0, eps1=1e-10, eps2=1e-10 ** R,
+                           iterations=13_000, seed=seed)
+        W = float(bounds._search_W(np.array([res.t]), c0)[0])
+        assert res.alpha2 == pytest.approx((W - 1.0 / res.L) / c0, rel=1e-9)
+        assert not check_tardos_condition(c0, res.t, res.alpha2, res.L).satisfied
+        with pytest.raises(TardosError, match="completeness"):
+            verify(res)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

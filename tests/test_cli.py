@@ -269,6 +269,26 @@ class TestPredict:
         assert res.code == 0
         assert res.out == interleave.out
 
+    def test_psi_csv_path_with_comma(self, tmp_path, run_cli):
+        psi = tmp_path / "a,b.csv"
+        psi.write_text("0,0\n1,0.25\n2,0.5\n3,0.75\n4,1\n")
+        res = run_cli(["predict", "--c0", "4", "--eps1", "0.01",
+                       "--eps2", "0.25", "--psi-csv", str(psi)])
+        interleave = run_cli(["predict", "--c0", "4", "--eps1", "0.01",
+                              "--eps2", "0.25", "--strategy", "interleave"])
+        assert res.code == 0, res.err
+        assert res.out == interleave.out
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe0,0\n1,1\n"])
+    def test_unreadable_psi_csv_is_io_error(self, tmp_path, run_cli, content):
+        psi = tmp_path / "no,such.csv"
+        if content is not None:
+            psi.write_bytes(content)
+        res = run_cli(["predict", "--c0", "1", "--eps1", "0.01", "--eps2",
+                       "0.25", "--psi-csv", str(psi)])
+        assert res.code == 4
+        assert "i/o" in res.err
+
 
 class TestSimulateCommand:
     SIM = ["simulate", "--c0", "6", "--eps1", "0.01", "--eps2", "0.25",

@@ -30,8 +30,9 @@ KINDS = ("extremal", "interleave", "majority", "minority", "coin")
 
 def strategy_psi(kind, c):
     """The psi table of a named strategy for coalition size ``c``."""
-    if c < 1:
-        raise ParameterError("coalition size must be at least 1")
+    if c < 1 or int(c) != c:
+        raise ParameterError("coalition size must be a positive integer")
+    c = int(c)
     x = np.arange(c + 1, dtype=np.float64)
     if kind == "extremal":
         psi = (x > 0).astype(np.float64)
@@ -70,9 +71,19 @@ class Strategy:
         object.__setattr__(self, "psi", tuple(float(v) for v in table))
 
     @classmethod
+    def of(cls, strategy, c):
+        """The strategy for coalition size ``c`` from a Strategy, a kind name
+        or a psi table; a Strategy of size ``c`` is returned as is."""
+        if isinstance(strategy, str):
+            strategy = cls.from_kind(strategy, c)
+        elif not isinstance(strategy, cls):
+            strategy = cls.from_table(strategy)
+        if strategy.c != c:
+            raise ParameterError(f"strategy is for coalition size {strategy.c}, not {c}")
+        return strategy
+
+    @classmethod
     def from_kind(cls, kind, c):
-        if kind not in KINDS:
-            raise ParameterError(f"unknown strategy kind {kind!r}")
         return cls(kind=kind, c=int(c), psi=tuple(strategy_psi(kind, c)))
 
     @classmethod
@@ -122,7 +133,8 @@ class Strategy:
 
 
 def forge(coalition_rows, strategy, seed=None, rng=None):
-    """Forge a pirate copy from the coalition's rows under ``strategy``.
+    """Forge a pirate copy from the coalition's rows under ``strategy``
+    (anything :meth:`Strategy.of` takes).
 
     Per column: count x ones among the rows; emit 1 with probability psi(x),
     with the undetectable cases x = 0 and x = c forced to 0 and 1. Coin flips
@@ -134,10 +146,7 @@ def forge(coalition_rows, strategy, seed=None, rng=None):
         raise ParameterError("coalition rows must form a nonempty 2-d array")
     if rows.max(initial=0) > 1:
         raise ParameterError("coalition rows must be binary")
-    if isinstance(strategy, str):
-        strategy = Strategy.from_kind(strategy, rows.shape[0])
-    if strategy.c != rows.shape[0]:
-        raise ParameterError("strategy table size disagrees with coalition size")
+    strategy = Strategy.of(strategy, rows.shape[0])
     if (seed is None) == (rng is None):
         raise ParameterError("pass exactly one of seed and rng")
     if rng is None:

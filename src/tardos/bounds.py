@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyWindowError, InfeasibleError, ParameterError, TardosError
 from .model import (ARCSINE, BiasDistribution, _ln_ceil, _quad, expectation, g1,
                     nu as nu_functional, tprime)
-from .rng import TAG_SEARCH, stream
+from .rng import SEED_LIMIT, TAG_SEARCH, check_seed, stream
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +40,15 @@ def _ratio(eps1, eps2):
         if not 0.0 < v < 1.0:
             raise ParameterError(f"{name} must lie in (0, 1)")
     return math.log(eps2) / math.log(eps1)
+
+
+def eps2_for_ratio(eps1, R):
+    """The eps2 with ln(eps2)/ln(eps1) = R, for eps1 in (0, 1) and R > 0."""
+    if not 0.0 < eps1 < 1.0:
+        raise ParameterError("eps1 must lie in (0, 1)")
+    if not R > 0.0:
+        raise ParameterError("ratio R = ln(eps2)/ln(eps1) must be positive")
+    return math.exp(R * math.log(eps1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +359,10 @@ def _search_W(t, c0):
 def _search_block(c0, R, seed, block_index, size, cut=math.inf):
     """One block of the randomized search; deterministic in (seed, block_index).
 
-    Rows whose lower bound on A is not below ``cut`` are dropped unscored, so
-    the block's result is exact whenever its best A lies below ``cut``.
-    Returns (best A, tuple, counts) where counts tracks rows that died at the
+    The block's best starts at ``cut``: rows whose lower bound on A is not
+    below the best so far are dropped unscored, and a row replaces the best
+    only with a strictly smaller A. Returns (best A, tuple, counts), with
+    tuple None when no row beat ``cut``; counts tracks rows that died at the
     alpha2 stage or produced no valid draw.
     """
     rng = stream(seed, TAG_SEARCH, block_index)
@@ -372,7 +382,7 @@ def _search_block(c0, R, seed, block_index, size, cut=math.inf):
         cap2 = np.minimum(2.0 * np.sqrt(t), (W - 1.0 / L) / c0)
     valid &= cap2 > 0.0
 
-    best = (math.inf, None)
+    best = (cut, None)
     no_alpha2 = 0
     invalid = int(np.count_nonzero(~valid))
     for lo_row in range(0, size, _CHUNK):
@@ -382,10 +392,9 @@ def _search_block(c0, R, seed, block_index, size, cut=math.inf):
             continue
         tc, Wc, Lc, qc, a1c, capc = (arr[sel][v] for arr in (t, W, L, q, alpha1, cap2))
         # A decreases in alpha2, so alpha2 = cap gives a true lower bound;
-        # rows that cannot beat the block best or the cut are dropped before
-        # grid work.
+        # rows that cannot beat the best so far are dropped before grid work.
         A_lb = (Lc * qc / (qc - Lc)) * (qc + R / (c0 ** 2 * capc))
-        keep = A_lb < min(best[0], cut)
+        keep = A_lb < best[0]
         if not keep.any():
             continue
         tc, Wc, Lc, qc, a1c, capc = (arr[keep] for arr in (tc, Wc, Lc, qc, a1c, capc))
@@ -436,13 +445,12 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
     iterations are split into fixed blocks with one random stream per block
     and reduced in block order with a strict ``<``.
 
-    Block 0 runs first and its best A becomes a fixed cut for every later
-    block, which drops rows whose lower bound A_lb (A at alpha2 = cap) is not
-    below it. This cannot change the result: alpha2 <= cap in floating point
-    too, so A >= A_lb, and a later block wins only with an A strictly below
-    block 0's. With no feasible point in block 0 the cut is inf and the
-    counts of an InfeasibleError are unchanged. The blocks run serially: once
-    cut, the later blocks are too cheap for a thread fan-out to pay, so
+    The blocks run serially with one running bound: each block gets the best
+    A so far as its ``cut`` and drops rows whose lower bound A_lb (A at
+    alpha2 = cap) is not below the best. This cannot change the result:
+    alpha2 <= cap in floating point too, so A >= A_lb, and a row wins only
+    with an A strictly below the best before it. While nothing is feasible
+    the cut is inf, so the counts of an InfeasibleError are unchanged.
     ``threads`` is kept for API compatibility and is not used.
     """
     if int(iterations) < 1:
@@ -453,17 +461,14 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
     R = _ratio(eps1, eps2)
     iterations = int(iterations)
 
-    blocks = [(i, min(_BLOCK, iterations - i * _BLOCK))
-              for i in range((iterations + _BLOCK - 1) // _BLOCK)]
-    results = [_search_block(c0, R, seed, *blocks[0])]
-    results += [_search_block(c0, R, seed, bi, sz, results[0][0]) for bi, sz in blocks[1:]]
-
     best_A, best_tuple = math.inf, None
     counts = {"no_alpha2": 0, "invalid_draw": 0}
-    for A, tup, cnt in results:
+    for lo in range(0, iterations, _BLOCK):
+        A, tup, cnt = _search_block(c0, R, seed, lo // _BLOCK,
+                                    min(_BLOCK, iterations - lo), best_A)
         for k in counts:
             counts[k] += cnt[k]
-        if A < best_A:
+        if tup is not None:
             best_A, best_tuple = A, tup
     if best_tuple is None:
         raise InfeasibleError(
@@ -531,21 +536,20 @@ def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
 
     A depends on the two error targets only through R = ln(eps2)/ln(eps1), so
     cells fix eps1 (default 1e-10) and set eps2 = eps1^R. Each cell uses its
-    own seed offset; per-cell auxiliary ratios are logged, not returned.
-    Cells run serially, like the blocks of each search; ``threads`` is kept
-    for API compatibility and is not used.
+    own seed, seed + k mod 2^64 for cell k; per-cell auxiliary ratios are
+    logged, not returned. Cells run serially, like the blocks of each search;
+    ``threads`` is kept for API compatibility and is not used.
     """
     c0_list, R_list = tuple(c0_list), tuple(R_list)
     if not c0_list or not R_list:
         raise ParameterError("c0_list and R_list must be nonempty")
+    seed = check_seed(seed)
     results = []
     cell = 0
     for R in R_list:
-        if R <= 0.0:
-            raise ParameterError("R must be positive")
+        eps2 = eps2_for_ratio(eps1, R)
         for c0 in c0_list:
-            eps2 = math.exp(R * math.log(eps1))
-            res = search_min_A(c0, eps1, eps2, iterations, seed + cell)
+            res = search_min_A(c0, eps1, eps2, iterations, (seed + cell) % SEED_LIMIT)
             tT = 1.0 / (300.0 * c0)
             log.info("cell R=%g c0=%d: A=%.4f B=%.4f t/tT=%.3f L/pi=%.4f "
                      "a1*10c0=%.3f a2*20c0=%.3f", R, c0, res.A, res.B, res.t / tT,

@@ -16,12 +16,11 @@ window, 4 I/O or file-format failure.
 
 import argparse
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
 
-from . import bounds, codegen, gaussian, simulate, tracer
+from . import bounds, codegen, gaussian, rng, simulate, tracer
 from .attacks import Strategy, forge
 from .errors import CapacityError, InfeasibleError, ParameterError
 from .model import SchemeParams, default_cutoff, parse_kv_text
@@ -36,11 +35,11 @@ def _positive_int(text):
     return v
 
 
-def _nonnegative_int(text):
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return v
+def _seed(text):
+    try:
+        return rng.check_seed(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _int_list(text):
@@ -72,14 +71,6 @@ def _log_resolved(args):
     pairs = sorted((k, v) for k, v in vars(args).items()
                    if k not in skip and not k.startswith("_"))
     log.info("resolved config: %s", " ".join(f"{k}={v}" for k, v in pairs))
-
-
-def _resolve_eps2(args):
-    if getattr(args, "ratio", None) is not None:
-        if args.ratio <= 0.0:
-            raise ParameterError("ratio must be positive")
-        return math.exp(args.ratio * math.log(args.eps1))
-    return args.eps2
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +112,11 @@ def cmd_generate(args):
 
 
 def _load_strategy(args, c):
+    strat = args.strategy
     if args.psi_csv is not None:
         with open(args.psi_csv, "r", encoding="utf-8") as fh:
             strat = Strategy.from_csv_text(fh.read())
-        if strat.c != c:
-            raise ParameterError(
-                f"psi table is for coalition size {strat.c}, not {c}")
-        return strat
-    return Strategy.from_kind(args.strategy, c)
+    return Strategy.of(strat, c)
 
 
 def cmd_attack(args):
@@ -161,7 +149,7 @@ def cmd_trace(args):
         else:
             raise ParameterError(
                 "--threshold is required when the codebook carries none")
-    report = tracer.trace(cb, y.bits, Z)
+    report = tracer.trace(cb, y, Z)
     with _out_stream(args.out) as fh:
         report.to_csv(fh)
     log.info("traced %d users at Z=%r: %d accused", cb.n, Z,
@@ -170,7 +158,7 @@ def cmd_trace(args):
 
 
 def cmd_search(args):
-    eps2 = _resolve_eps2(args)
+    eps2 = args.eps2 if args.ratio is None else bounds.eps2_for_ratio(args.eps1, args.ratio)
     res = bounds.search_min_A(args.c0, args.eps1, eps2, args.iterations,
                               args.seed)
     with _out_stream(args.out) as fh:
@@ -282,7 +270,7 @@ def build_parser():
                     "attacks, provable bounds, and simulation.")
     # A string default goes through ``type`` too, so TARDOS_SEED is checked
     # like the flag.
-    parser.add_argument("--seed", type=_nonnegative_int,
+    parser.add_argument("--seed", type=_seed,
                         default=os.environ.get("TARDOS_SEED", "0"),
                         help="master seed (default: TARDOS_SEED or 0)")
     parser.add_argument("--threads", type=_positive_int,

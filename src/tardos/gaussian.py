@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attacks import Strategy
 from .errors import ParameterError
 from .model import QUAD_TOL, _quad, default_cutoff, tprime
 
@@ -213,28 +214,13 @@ class MomentSummary:
         return head, row
 
 
-def _strategy_table(strategy, c):
-    """Accept a response table, a named strategy, or a Strategy object."""
-    from .attacks import Strategy, strategy_psi
-    if isinstance(strategy, str):
-        return strategy_psi(strategy, c)
-    if isinstance(strategy, Strategy):
-        if strategy.c != c:
-            raise ParameterError(
-                f"strategy is for coalition size {strategy.c}, not {c}")
-        return strategy.table()
-    table = [float(v) for v in strategy]
-    if len(table) != c + 1:
-        raise ParameterError(f"strategy table must have length {c + 1}")
-    return table
-
-
 def moments(strategy, c, t=None, c0=None):
     """Exact accusation-sum moments for a coalition of c users.
 
     The bias density is the arcsine law truncated to [t, 1-t]; ``t`` defaults
     to the standard cutoff 1/(300 c0). With angle r' = arcsin(sqrt(t)) and
-    psi the strategy's response table:
+    psi the response table of ``strategy`` (anything :meth:`Strategy.of`
+    takes):
 
       mu_scaled      = sum_x C(c,x) psi(x) [t^(c-x)(1-t)^x - t^x(1-t)^(c-x)]
                        / (pi - 4 r')
@@ -255,7 +241,7 @@ def moments(strategy, c, t=None, c0=None):
         t = default_cutoff(c0)
     if not 0.0 < t < 0.5:
         raise ParameterError("cutoff t must lie in (0, 1/2)")
-    psi = _strategy_table(strategy, c)
+    psi = Strategy.of(strategy, c).table()
 
     tp = tprime(t)
     norm = math.pi - 4.0 * tp

@@ -15,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Purpose tags. Never renumber: stream identities are part of the
 # reproducibility contract for saved seeds.
 TAG_BIAS = 1       # bias vector sampling
@@ -23,19 +25,20 @@ TAG_FORGE = 3      # pirate-copy coin flips
 TAG_SEARCH = 4     # one randomized-search block per index
 TAG_TRIAL = 5      # one simulation trial per index
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # seeds are stored as u64 in codebook files
 
 
-def _normalize_seed(seed):
+def check_seed(seed):
+    """``seed`` as an int in [0, 2^64); anything else is a ParameterError."""
     seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    return seed & _MASK64
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParameterError("seed must be an integer in [0, 2^64)")
+    return seed
 
 
 def seed_sequence(seed, tag, index=0):
     """SeedSequence for purpose ``tag`` and stream ``index`` under ``seed``."""
-    return np.random.SeedSequence(_normalize_seed(seed), spawn_key=(int(tag), int(index)))
+    return np.random.SeedSequence(check_seed(seed), spawn_key=(int(tag), int(index)))
 
 
 def stream(seed, tag, index=0):

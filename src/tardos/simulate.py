@@ -64,19 +64,12 @@ class SimConfig:
     histogram_bins: int = 80
 
     def __post_init__(self):
-        if isinstance(self.strategy, str):
-            object.__setattr__(self, "strategy",
-                               Strategy.from_kind(self.strategy, self.c))
-        if not isinstance(self.strategy, Strategy):
-            object.__setattr__(self, "strategy",
-                               Strategy.from_table(self.strategy))
         if self.c < 1:
             raise ParameterError("coalition size must be at least 1")
         if self.c > self.params.c0:
             raise ParameterError(
                 f"coalition size {self.c} exceeds the design size {self.params.c0}")
-        if self.strategy.c != self.c:
-            raise ParameterError("strategy table size disagrees with coalition size")
+        object.__setattr__(self, "strategy", Strategy.of(self.strategy, self.c))
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
         if self.innocents_per_trial < 1:
@@ -205,7 +198,7 @@ def _run_trials(cfg, dist, lo, hi, slots):
         p = dist.sample(m, g_bias)
         rows = (g_rows.random((c, m)) < p).astype(np.uint8)
         y = forge(rows, table, rng=g_forge)
-        mask, w, base = _score_pieces(y.bits, p)
+        mask, w, base = _score_pieces(y, p)
         m1 = w.size
         coal = rows[:, mask].astype(np.float64) @ w + base
         bits = g_innocent.random((K, m1)) < p[mask]

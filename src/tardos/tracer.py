@@ -32,13 +32,14 @@ class PirateCopy:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
+        raw = np.asarray(self.bits)
+        if raw.ndim != 1 or raw.size < 1:
+            raise ParameterError("pirate copy must be a nonempty 1-d bit array")
+        if not ((raw == 0) | (raw == 1)).all():
+            raise ParameterError("pirate copy must be binary")
+        arr = raw.astype(np.uint8)  # a copy, so the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ParameterError("pirate copy must be a nonempty 1-d bit array")
-        if arr.max(initial=0) > 1:
-            raise ParameterError("pirate copy must be binary")
 
     @property
     def m(self):
@@ -56,7 +57,7 @@ class PirateCopy:
 
 
 def _bits_of(y):
-    return y.bits if isinstance(y, PirateCopy) else np.asarray(y, dtype=np.uint8)
+    return (y if isinstance(y, PirateCopy) else PirateCopy(bits=y)).bits
 
 
 def _score_pieces(y, p):

@@ -148,3 +148,43 @@ class TestForge:
         rows = self._rows(8, 3, 10)
         with pytest.raises(ParameterError):
             forge(rows, Strategy.from_kind("coin", 4), seed=1)
+
+
+class TestStrategyOf:
+    """``Strategy.of`` is the one coercion every consumer uses."""
+
+    def test_matching_strategy_returned_as_is(self):
+        s = Strategy.from_kind("majority", 5)
+        assert Strategy.of(s, 5) is s
+
+    def test_kind_and_table_inputs(self):
+        assert Strategy.of("interleave", 4) == Strategy.from_kind("interleave", 4)
+        assert Strategy.of([0.0, 0.5, 1.0], 2) == Strategy.from_table([0.0, 0.5, 1.0])
+        assert Strategy.of(np.array([0.0, 0.5, 1.0]), 2).psi == (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("strategy, c", [
+        (Strategy.from_kind("coin", 4), 5),
+        (Strategy.from_kind("coin", 4), 3),
+        ((0.0, 0.5, 1.0), 3),
+        ([0.0, 0.25, 0.5, 1.0], 2),
+        ("coin", 0),    # a kind name has no size of its own; c itself must be one
+        ("coin", 2.5),
+    ])
+    def test_size_mismatch_rejected(self, strategy, c):
+        with pytest.raises(ParameterError):
+            Strategy.of(strategy, c)
+
+    def test_table_still_validated(self):
+        with pytest.raises(ParameterError):
+            Strategy.of((0.4, 0.5, 0.2), 2)  # breaks psi(0) = 0, psi(c) = 1
+
+    def test_forge_accepts_table(self):
+        rows = np.random.default_rng(10).integers(0, 2, size=(2, 500), dtype=np.uint8)
+        via_table = forge(rows, [0.0, 0.5, 1.0], seed=1)
+        via_obj = forge(rows, Strategy.from_table([0.0, 0.5, 1.0]), seed=1)
+        assert np.array_equal(via_table.bits, via_obj.bits)
+
+    def test_forge_accepts_kind(self):
+        rows = np.random.default_rng(11).integers(0, 2, size=(3, 200), dtype=np.uint8)
+        assert np.array_equal(forge(rows, "coin", seed=2).bits,
+                              forge(rows, Strategy.from_kind("coin", 3), seed=2).bits)

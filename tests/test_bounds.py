@@ -420,6 +420,18 @@ class TestSearchTable:
                               iterations=4000, seed=8)  # seed + flat index 1
         assert tab.results[1] == direct
 
+    def test_cell_seed_wraps_modulo_2_64(self):
+        tab = emit_search_table([10, 15], [0.02], iterations=2000, seed=2 ** 64 - 1)
+        direct = search_min_A(c0=15, eps1=1e-10, eps2=bounds.eps2_for_ratio(1e-10, 0.02),
+                              iterations=2000, seed=0)
+        assert tab.results[1] == direct
+
+    @pytest.mark.parametrize("kw", [dict(eps1=0.0), dict(eps1=-1.0), dict(eps1=1.0),
+                                    dict(seed=2 ** 64), dict(seed=-1)])
+    def test_bad_eps1_or_seed_rejected(self, kw):
+        with pytest.raises(ParameterError):
+            emit_search_table([4], [0.1], iterations=10, **{"seed": 0, **kw})
+
     def test_csv_format(self):
         tab = emit_search_table([10], [0.02], iterations=2000, seed=0)
         buf = io.StringIO()

@@ -372,7 +372,7 @@ class TestColdStart:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("seed", ["-1", "x", str(2 ** 64), "18446744073709551621"])
     def test_bad_seed_is_usage_error(self, run_cli, monkeypatch, tmp_path, seed):
         gen = ["generate", "--users", "5", "--length", "64", "--threshold",
                "3", "--cutoff", "0.01", "--out", str(tmp_path / "cb.bin")]
@@ -384,6 +384,26 @@ class TestExitCodes:
         assert res.code == 2
         assert "--seed" in res.err
         assert not (tmp_path / "cb.bin").exists()
+
+    @pytest.mark.parametrize("seed", [str(2 ** 64), "18446744073709551621"])
+    def test_search_seed_of_2_64_or_more_is_usage_error(self, run_cli, monkeypatch,
+                                                        seed):
+        # Masked to 64 bits, 2^64 + 5 would alias seed 5.
+        assert run_cli(["--seed", seed] + SEARCH_ARGS).code == 2
+        monkeypatch.setenv("TARDOS_SEED", seed)
+        res = run_cli(SEARCH_ARGS)
+        assert res.code == 2 and "--seed" in res.err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--c0", "4", "--eps1", "0", "--ratio", "0.1", "--iterations", "10"],
+        ["search", "--c0", "4", "--eps1", "-1", "--ratio", "0.1", "--iterations", "10"],
+        ["table", "--c0-list", "4", "--ratio-list", "0.1", "--iterations", "10",
+         "--eps1", "0"],
+    ])
+    def test_eps1_outside_unit_interval_is_usage_error(self, run_cli, argv):
+        res = run_cli(argv)
+        assert res.code == 2
+        assert "eps1" in res.err and "Traceback" not in res.err
 
     def test_missing_codebook_is_io_error(self, run_cli):
         res = run_cli(["trace", "--codebook", "/nonexistent/cb.bin",

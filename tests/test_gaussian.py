@@ -190,6 +190,10 @@ class TestMoments:
         # c0 given alongside t only enforces the size bound; t wins.
         assert moments("coin", 5, t=1e-3, c0=10).t == 1e-3
 
+    def test_table_breaking_marking_condition_rejected(self):
+        with pytest.raises(ParameterError):
+            moments((0.4, 0.5, 0.2), 2, t=1e-2)
+
     def test_csv_row(self):
         s = moments("coin", 3, t=1e-3)
         header, row = s.csv_row()

@@ -1,10 +1,11 @@
-"""Thread fan-out shared by codeword-row generation and simulation trials."""
+"""Seeds, and the thread fan-out shared by codeword rows and simulation trials."""
 
 import threading
 
 import pytest
 
-from tardos.rng import fan_out
+from tardos import ParameterError
+from tardos.rng import check_seed, fan_out, stream
 
 
 def _record(n, threads):
@@ -50,3 +51,15 @@ def test_worker_exception_reaches_caller():
     with pytest.raises(ValueError, match="fill failed at"):
         fan_out(fill, 8, 4)
     assert raised_in and threading.get_ident() not in raised_in
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+def test_seed_outside_u64_rejected(seed):
+    # Masking to 64 bits would alias 2^64 + 5 with 5.
+    with pytest.raises(ParameterError):
+        stream(seed, 1)
+
+
+def test_largest_seed_accepted():
+    assert check_seed(2 ** 64 - 1) == 2 ** 64 - 1
+    stream(2 ** 64 - 1, 1)

@@ -39,6 +39,39 @@ class TestPirateCopy:
             PirateCopy(bits=np.zeros((2, 2), dtype=np.uint8))
 
 
+class TestRawCopiesValidated:
+    """Every scoring entry point checks a raw array like ``PirateCopy`` does."""
+
+    BAD = np.array([0, 2, 1, 1, 0, 2, 1, 0])
+
+    @pytest.fixture()
+    def book(self):
+        return gen_matrix(4, sample_bias(self.BAD.size, 1e-2, seed=1), seed=1)
+
+    def test_trace(self, book):
+        with pytest.raises(ParameterError, match="binary"):
+            trace(book, self.BAD, Z=0.0)
+
+    def test_score_user(self, book):
+        with pytest.raises(ParameterError, match="binary"):
+            score_user(book.select_bits([0])[0], self.BAD, book.bias)
+
+    def test_coalition_score(self, book):
+        with pytest.raises(ParameterError, match="binary"):
+            coalition_score(book.select_bits([0, 1]), self.BAD, book.bias)
+
+    @pytest.mark.parametrize("bad", [[0, -1, 1], [0, 256, 1], [0.0, 0.5, 1.0]])
+    def test_values_are_not_cast_first(self, bad):
+        with pytest.raises(ParameterError, match="binary"):
+            PirateCopy(bits=bad)
+
+    def test_raw_copy_scores_like_wrapped_and_stays_writable(self, book):
+        y = np.array([0, 1, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        raw = trace(book, y, Z=0.0)
+        assert np.array_equal(raw.scores, trace(book, PirateCopy(bits=y), Z=0.0).scores)
+        assert y.flags.writeable
+
+
 class TestScoreUser:
     def test_balanced_two_columns(self):
         # At p = 1/2 the weights are +1 / -1, so a half-matching row under an

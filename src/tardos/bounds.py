@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError, InfeasibleError, ParameterError, TardosError
-from .model import (ARCSINE, BiasDistribution, _ln_ceil, _quad, expectation, g1,
-                    nu as nu_functional, tprime)
+from .model import (ARCSINE, BiasDistribution, _check_rate, _ln_ceil, _quad,
+                    expectation, g1, nu as nu_functional)
 from .rng import SEED_LIMIT, TAG_SEARCH, check_seed, stream
 
 log = logging.getLogger(__name__)
@@ -36,16 +36,14 @@ _EXP17 = math.exp(1.7)
 
 
 def _ratio(eps1, eps2):
-    for name, v in (("eps1", eps1), ("eps2", eps2)):
-        if not 0.0 < v < 1.0:
-            raise ParameterError(f"{name} must lie in (0, 1)")
+    _check_rate("eps1", eps1)
+    _check_rate("eps2", eps2)
     return math.log(eps2) / math.log(eps1)
 
 
 def eps2_for_ratio(eps1, R):
     """The eps2 with ln(eps2)/ln(eps1) = R, for eps1 in (0, 1) and R > 0."""
-    if not 0.0 < eps1 < 1.0:
-        raise ParameterError("eps1 must lie in (0, 1)")
+    _check_rate("eps1", eps1)
     if not R > 0.0:
         raise ParameterError("ratio R = ln(eps2)/ln(eps1) must be positive")
     return math.exp(R * math.log(eps1))
@@ -287,7 +285,8 @@ def check_tardos_condition(c0, t, alpha2, L):
 
     with D = e (c0 alpha2 / 1.7)^2 and K = ceil(c0 t + 1.7 sqrt(t(1-t)) /
     alpha2). alpha2 = 0 is defined as not satisfied (the strict inequality
-    degenerates); D >= 1 raises.
+    degenerates); D >= 1 raises. The slack comes from the search's own kernel,
+    so a point chosen by :func:`search_min_A` is judged as it was chosen.
     """
     if not 0.0 < t < 0.5:
         raise ParameterError("t must lie in (0, 1/2)")
@@ -300,11 +299,8 @@ def check_tardos_condition(c0, t, alpha2, L):
     D = math.e * (c0 * alpha2 / 1.7) ** 2
     if D >= 1.0:
         raise InfeasibleError(f"D = {D:g} >= 1: alpha2 too large for c0 = {c0}")
-    tp = tprime(t)
-    W = (2.0 * (1.0 - t) ** c0 - 1.0) / (math.pi - 4.0 * tp)
-    K = math.ceil(c0 * t + 1.7 * math.sqrt(t * (1.0 - t)) / alpha2)
-    tail = _EXP17 * D ** K / (1.0 - D)
-    slack = alpha2 * (W - 1.0 / L) - c0 * alpha2 ** 2 - tail
+    t_v, a2_v = np.array([[t], [alpha2]], dtype=np.float64)
+    slack = float(_slack_rows(c0, _search_W(t_v, c0), t_v, a2_v, L)[0])
     return ConditionCheck(satisfied=slack > 0.0, slack=slack)
 
 
@@ -487,10 +483,10 @@ def _verify_search_result(res):
 
     The left-boundary coefficient A/L - R/(alpha2 c0^2) must equal the
     soundness form q + A c0 alpha1 identically (they are two readings of the
-    same construction); disagreement flags an implementation bug. W comes from
-    the search's own expression, so the alpha2 cap matches the search's bit
-    for bit; the completeness condition is re-checked independently by
-    :func:`check_tardos_condition`.
+    same construction); disagreement flags an implementation bug. The rest is
+    re-checked with the arithmetic that chose the tuple (W, the alpha2 cap and
+    :func:`check_tardos_condition` all run the search's kernels); the tests
+    check that formula against the quadrature of :func:`check_general_condition`.
     """
     c0, t, L, a1, a2, A, R = res.c0, res.t, res.L, res.alpha1, res.alpha2, res.A, res.R
     q = 1.0 / (c0 * a1)

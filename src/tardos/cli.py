@@ -10,8 +10,9 @@ Reproducibility: the master seed comes from --seed, the TARDOS_SEED
 environment variable, or 0, in that order; a key=value config file can
 provide defaults for any long option; the fully resolved configuration is
 logged to stderr on every run (no timestamps, so reruns are byte-identical).
-Exit codes: 0 success, 2 usage error, 3 infeasible constraints or empty
-window, 4 I/O or file-format failure.
+Exit codes: 0 success, 2 usage error (also a cutoff too small for the
+quadrature), 3 infeasible constraints or empty window, 4 I/O or file-format
+failure.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 
 from . import bounds, codegen, gaussian, rng, simulate, tracer
 from .attacks import Strategy, forge
-from .errors import CapacityError, InfeasibleError, ParameterError
+from .errors import CapacityError, InfeasibleError, ParameterError, QuadratureError
 from .model import SchemeParams, default_cutoff, parse_kv_text
 
 log = logging.getLogger("tardos.cli")
@@ -103,6 +104,7 @@ def cmd_generate(args):
         params = SchemeParams(n=args.users, m=m, c0=args.c0, eps1=args.eps1,
                               eps2=args.eps2, t=t, Z=plan.Z)
         log.info("plan: m=%d Z in [%r, %r]", plan.m, plan.Z_low, plan.Z_high)
+    codegen._check_capacity(args.users, m)  # before the bias vector is drawn
     bias = codegen.sample_bias(m, t, args.seed)
     cb = codegen.gen_matrix(args.users, bias, args.seed, params=params,
                             threads=args.threads)
@@ -111,12 +113,12 @@ def cmd_generate(args):
     return 0
 
 
-def _load_strategy(args, c):
-    strat = args.strategy
-    if args.psi_csv is not None:
-        with open(args.psi_csv, "r", encoding="utf-8") as fh:
-            strat = Strategy.from_csv_text(fh.read())
-    return Strategy.of(strat, c)
+def _strategy(args):
+    """--strategy, or the table in --psi-csv; the library checks it against c."""
+    if args.psi_csv is None:
+        return args.strategy
+    with open(args.psi_csv, "r", encoding="utf-8") as fh:
+        return Strategy.from_csv_text(fh.read())
 
 
 def cmd_attack(args):
@@ -129,9 +131,7 @@ def cmd_attack(args):
     for j in users:
         if not 0 <= j < cb.n:
             raise ParameterError(f"user {j} outside 0..{cb.n - 1}")
-    rows = cb.select_bits(users)
-    strat = _load_strategy(args, len(users))
-    y = forge(rows, strat, seed=args.seed)
+    y = forge(cb.select_bits(users), _strategy(args), seed=args.seed)
     with _out_stream(args.out) as fh:
         fh.write(y.to_text() + "\n")
     log.info("forged %d-column copy from %d users -> %s", y.m, len(users), args.out)
@@ -158,6 +158,8 @@ def cmd_trace(args):
 
 
 def cmd_search(args):
+    if args.eps2 is None and args.ratio is None:
+        raise ParameterError("give --eps2 or --ratio")
     eps2 = args.eps2 if args.ratio is None else bounds.eps2_for_ratio(args.eps1, args.ratio)
     res = bounds.search_min_A(args.c0, args.eps1, eps2, args.iterations,
                               args.seed)
@@ -181,8 +183,7 @@ def cmd_predict(args):
     c = args.coalition if args.coalition is not None else args.c0
     t = args.cutoff if args.cutoff is not None else default_cutoff(args.c0)
     tau = args.c0 * t
-    strat = _load_strategy(args, c)
-    summary = gaussian.moments(strat, c, t)
+    summary = gaussian.moments(_strategy(args), c, t)
     mmin = gaussian.m_min(summary, args.eps1, args.eps2, args.c0)
     plan = gaussian.conservative_plan(args.c0, tau, args.eps1, args.eps2)
     m = args.length if args.length is not None else max(plan.m, 1)
@@ -216,8 +217,7 @@ def cmd_simulate(args):
     c = args.coalition if args.coalition is not None else args.c0
     params = SchemeParams(n=max(args.innocents, 1), m=m, c0=args.c0,
                           eps1=args.eps1, eps2=args.eps2, t=t, Z=Z)
-    strat = _load_strategy(args, c)
-    cfg = simulate.SimConfig(params=params, strategy=strat, c=c,
+    cfg = simulate.SimConfig(params=params, strategy=_strategy(args), c=c,
                              trials=args.trials,
                              innocents_per_trial=args.innocents,
                              seed=args.seed, threads=args.threads,
@@ -419,6 +419,9 @@ def main(argv=None):
         return 3
     except (ParameterError, CapacityError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
+        return 2
+    except QuadratureError as exc:  # the CLI's integrals miss at tiny cutoffs
+        print(f"error: usage: {exc}; try a larger --cutoff", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as exc:  # includes codebook format errors
         print(f"error: i/o: {exc}", file=sys.stderr)

@@ -250,17 +250,22 @@ class Codebook:
         return np.unpackbits(raw, axis=1, count=self.m, bitorder="little")
 
 
+def _check_capacity(n, m, max_bits=DEFAULT_MAX_BITS):
+    """Raise unless an n x m codebook fits in ``max_bits`` bits."""
+    if n < 1:
+        raise ParameterError("n must be at least 1")
+    if n * m > max_bits:
+        raise CapacityError(
+            f"codebook of {n} x {m} bits exceeds the budget of {max_bits} bits")
+
+
 def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS):
     """Generate the n x m codeword matrix over ``bias``, packed 64 bits/word.
 
     Entry (j, i) is an independent Bernoulli(bias.p[i]) draw taken from row
     stream j, so the result is identical for every ``threads`` value.
     """
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    if n * bias.m > max_bits:
-        raise CapacityError(
-            f"codebook of {n} x {bias.m} bits exceeds the budget of {max_bits} bits")
+    _check_capacity(n, bias.m, max_bits)
     words = _words_per_row(bias.m)
     rows = np.empty((n, words), dtype="<u8")
 
@@ -353,7 +358,8 @@ def load_codebook(path):
     p = np.frombuffer(bias_raw, dtype="<f8").copy()
     if words != _words_per_row(m):
         raise CodebookFormatError("words per row disagrees with bias length")
-    rows = np.frombuffer(matrix_raw, dtype="<u8").reshape(n, words).copy()
+    # The rows view the file's bytes read-only, without a copy.
+    rows = np.frombuffer(matrix_raw, dtype="<u8").reshape(n, words)
     t = params.t if params is not None else _infer_cutoff(p)
     return Codebook(bias=BiasVector(p=p, t=t), rows=rows, seed=seed, params=params)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attacks import Strategy
 from .errors import ParameterError
-from .model import QUAD_TOL, _quad, default_cutoff, tprime
+from .model import QUAD_TOL, _check_rate, _quad, default_cutoff, tprime
 
 __all__ = [
     "MomentSummary", "GaussianPlan", "ZInterval", "CltReport",
@@ -301,6 +301,8 @@ def m_min(summary, eps1, eps2, c0):
         raise ParameterError("coalition mean must be positive")
     if c0 < 1:
         raise ParameterError("c0 must be at least 1")
+    _check_rate("eps1", eps1)
+    _check_rate("eps2", eps2)
     bracket = (summary.sigma_j_scaled * _gauss_tail_inv(eps1)
                + summary.sigma_scaled / c0 * _gauss_tail_inv(eps2))
     if bracket <= 0.0:
@@ -339,6 +341,8 @@ def z_interval(summary, m, eps1, eps2, c0):
     """
     if m <= 0:
         raise ParameterError("m must be positive")
+    _check_rate("eps1", eps1)
+    _check_rate("eps2", eps2)
     root = math.sqrt(m)
     low = summary.sigma_j_scaled * root * _gauss_tail_inv(eps1)
     high = (summary.mu_scaled / c0 * m
@@ -388,6 +392,8 @@ def conservative_plan(c0, tau, eps1, eps2):
         raise ParameterError("c0 must be at least 1")
     if not 0.0 <= tau < 0.5:
         raise ParameterError("tau must lie in [0, 1/2)")
+    _check_rate("eps1", eps1)
+    _check_rate("eps2", eps2)
     bracket = erfc_inv(2.0 * eps1) + erfc_inv(2.0 * eps2) / math.sqrt(c0)
     if bracket <= 0.0:
         mreal = 0.0
@@ -446,8 +452,7 @@ def clt_report(c0, t=None, eps1=1e-10, m=None):
         t = default_cutoff(c0)
     if not 0.0 < t < 0.5:
         raise ParameterError("cutoff t must lie in (0, 1/2)")
-    if not 0.0 < eps1 < 1.0:
-        raise ParameterError("eps1 must lie in (0, 1)")
+    _check_rate("eps1", eps1)
     if m is None:
         m = 2.0 * math.pi ** 2 * c0 ** 2 * math.log(1.0 / eps1)
     if m < 1:

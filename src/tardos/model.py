@@ -67,6 +67,12 @@ def g0(p):
     return _scalar_like(p, -np.sqrt(arr / (1.0 - arr)))
 
 
+def _check_rate(name, v):
+    """Reject an error target outside (0, 1), naming it; NaN is rejected too."""
+    if not 0.0 < v < 1.0:
+        raise ParameterError(f"{name} must lie in (0, 1)")
+
+
 def tprime(t):
     """Angle cutoff t' = arcsin(sqrt(t)) of the bias support."""
     if not 0.0 < t < 0.5:
@@ -159,7 +165,9 @@ def _quad(fn, lo, hi, tol=QUAD_TOL):
     # quadrature paths need it.
     from scipy import integrate
 
-    val, err = integrate.quad(fn, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
+    # full_output keeps scipy's warning off stderr; a miss raises below.
+    val, err = integrate.quad(fn, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200,
+                              full_output=1)[:2]
     if not math.isfinite(val) or err > max(tol, tol * abs(val)):
         raise QuadratureError(
             f"quadrature did not reach tolerance {tol:g} (achieved {err:g})", achieved=err)
@@ -255,10 +263,8 @@ class SchemeParams:
             raise ParameterError("m must be a positive integer")
         if int(self.c0) != self.c0 or self.c0 < 1:
             raise ParameterError("c0 must be a positive integer")
-        for name in ("eps1", "eps2"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1)")
+        _check_rate("eps1", self.eps1)
+        _check_rate("eps2", self.eps2)
         if not 0.0 < self.t < 0.5:
             raise ParameterError("t must lie in (0, 1/2)")
         if self.c0 * self.t >= 0.5:

@@ -34,6 +34,7 @@ _WILSON_Z = math.sqrt(2.0) * erfc_inv(2.0 * 0.005)  # two-sided 99% normal
 _CI_METHOD = "wilson-99"
 _HIST_HALF_WIDTH = 6.0
 _BIT_BUDGET = 2 * 10 ** 11
+_MAX_BINS = 10 ** 6
 
 
 def wilson_interval(successes, n, z=_WILSON_Z):
@@ -76,8 +77,8 @@ class SimConfig:
             raise ParameterError("innocents_per_trial must be at least 1")
         if self.params.Z is None:
             raise ParameterError("scheme parameters must include a threshold Z")
-        if self.histogram_bins < 1:
-            raise ParameterError("histogram_bins must be at least 1")
+        if not 1 <= self.histogram_bins <= _MAX_BINS:
+            raise ParameterError(f"histogram_bins must lie in [1, {_MAX_BINS}]")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tardos import (
     InfeasibleError,
@@ -405,6 +407,34 @@ class TestExitCodes:
         assert res.code == 2
         assert "eps1" in res.err and "Traceback" not in res.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["predict", "--c0", "4", "--eps1", "0", "--eps2", "0.3"], "eps1"),
+        (["predict", "--c0", "4", "--eps1", "0.1", "--eps2", "1.5"], "eps2"),
+        (["simulate", "--c0", "4", "--eps1", "0", "--eps2", "0.3", "--trials", "1"], "eps1"),
+        (["generate", "--users", "3", "--c0", "4", "--eps1", "0.1", "--eps2", "1.5",
+          "--out", "unused.bin"], "eps2"),
+        (["search", "--c0", "4", "--iterations", "10"], "--eps2 or --ratio"),
+        (["predict", "--c0", "2", "--cutoff", "1e-300", "--eps1", "0.1",
+          "--eps2", "0.3"], "--cutoff"),
+        (["generate", "--users", "1", "--length", str(10 ** 30), "--cutoff", "0.01",
+          "--out", "unused.bin"], "budget"),
+        (["simulate", "--c0", "4", "--eps1", "0.1", "--eps2", "0.3", "--trials", "1",
+          "--length", "100", "--threshold", "3", "--bins", str(10 ** 30)], "bins"),
+    ])
+    def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
+        out = tmp_path / "unused.bin"
+        res = run_cli([str(out) if a == "unused.bin" else a for a in argv])
+        assert res.code == 2
+        assert flag in res.err
+        assert "Traceback" not in res.err and "erfc_inv" not in res.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, c0, ratio", [(7, 1, 0.3), (42, 1, 1.0), (7, 80, 0.01)])
+    def test_search_cap_winner_exits_0(self, run_cli, seed, c0, ratio):
+        res = run_cli(["--seed", str(seed), "search", "--c0", str(c0), "--ratio", str(ratio),
+                       "--iterations", "13000"])
+        assert res.code == 0, res.err
+
     def test_missing_codebook_is_io_error(self, run_cli):
         res = run_cli(["trace", "--codebook", "/nonexistent/cb.bin",
                        "--pirate", "/nonexistent/y.txt"])
@@ -434,3 +464,131 @@ class TestExitCodes:
         res = run_cli(SEARCH_ARGS)
         assert res.code == 3
         assert "infeasible" in res.err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: random argv over every subcommand may only end in a documented exit.
+
+# Each flag takes a valid value five times in six and otherwise an edge
+# value: 0, -1, nan, inf, 1, 1.5, 1e-300, a word, or a huge integer. Sizes are
+# bounded so that each example stays fast and small: users <= 20,
+# iterations <= 2000, at most 4 table cells, trials <= 3, innocents <= 10,
+# c0 <= 8 for generate and simulate and <= 40 for predict, coalition <= 40,
+# explicit lengths <= 2000. Huge integers (2^64, 10^30) still go to users,
+# lengths, trials, innocents, bins, threads, the search's c0 and simulate's
+# coalition, which must be rejected (or cost nothing) before anything is
+# allocated; never to iterations, to predict's coalition or to the c0 of
+# generate, simulate and predict, whose cost grows with the value.
+HUGE = [str(2 ** 64), str(10 ** 30)]
+EDGES = ["0", "-1", "nan", "inf", "1", "1.5", "1e-300", "x"]
+
+
+def _mix(valid, huge=True):
+    edge = st.sampled_from(EDGES + (HUGE if huge else []))
+    return st.sampled_from(range(6)).flatmap(lambda k: edge if k == 0 else valid)
+
+
+def _size(hi, huge=True):
+    return _mix(st.integers(1, hi).map(str), huge)
+
+
+def _pick(*values):
+    return _mix(st.sampled_from(values))
+
+
+EPS = _pick("1e-300", "1e-3", "0.05", "0.3", "0.5", "0.999")
+CUTOFF = _pick("1e-300", "1e-3", "0.01", "0.1")
+THRESHOLD = _pick("-1", "0", "5", "40", "inf", "-inf")
+RATIO = _pick("0.01", "0.3", "1", "1.5")
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _list(values, most):
+    return _mix(st.lists(values, min_size=1, max_size=most).map(",".join))
+
+
+@st.composite
+def _argv(draw, files):
+    out = str(files["dir"] / "out")
+    common = (draw(_opt("--seed", _pick("0", "1", str(2 ** 64 - 1))))
+              + draw(_opt("--threads", _size(4))))
+    strategy = (draw(_opt("--strategy", _pick("extremal", "interleave", "majority", "")))
+                + draw(st.sampled_from([[]] * 3 + [
+                    ["--psi-csv", files[k]] for k in ("psi", "bad_psi", "missing")])))
+    book = ["--codebook", draw(st.sampled_from(
+        [files["book"], files["book"], files["corrupt"], files["missing"]]))]
+    cmd = draw(st.sampled_from(["generate", "attack", "trace", "search", "table",
+                                "predict", "simulate"]))
+    if cmd == "generate":
+        rest = (["--users", draw(_size(20))]
+                + draw(_opt("--length", _size(2000)))
+                + draw(_opt("--cutoff", CUTOFF))
+                + draw(_opt("--threshold", THRESHOLD))
+                + draw(_opt("--c0", _size(8, huge=False)))
+                + draw(_opt("--eps1", EPS)) + draw(_opt("--eps2", EPS))
+                + ["--out", out])
+    elif cmd == "attack":
+        rest = (book + ["--users", draw(_list(_size(21), 4))] + strategy
+                + ["--out", out])
+    elif cmd == "trace":
+        pirate = draw(st.sampled_from(
+            [files["pirate"], files["pirate"], files["short_pirate"],
+             files["bad_pirate"], files["missing"]]))
+        rest = book + ["--pirate", pirate] + draw(_opt("-Z", THRESHOLD)) + ["--out", out]
+    elif cmd == "search":
+        rest = (["--c0", draw(_size(80)), "--iterations", draw(_size(2000, huge=False))]
+                + draw(_opt("--eps1", EPS)) + draw(_opt("--eps2", EPS))
+                + draw(_opt("--ratio", RATIO)))
+    elif cmd == "table":
+        rest = (["--c0-list", draw(_list(_size(80), 2)),
+                 "--ratio-list", draw(_list(RATIO, 2)),
+                 "--iterations", draw(_size(2000, huge=False))]
+                + draw(_opt("--eps1", EPS)))
+    elif cmd == "predict":
+        rest = (["--c0", draw(_size(40, huge=False)),
+                 "--eps1", draw(EPS), "--eps2", draw(EPS)]
+                + draw(_opt("--coalition", _size(40, huge=False)))
+                + draw(_opt("--cutoff", CUTOFF))
+                + draw(_opt("--length", _size(2000))) + strategy)
+    else:
+        length, z = draw(_size(2000)), draw(THRESHOLD)
+        rest = (["--c0", draw(_size(8, huge=False)), "--trials", draw(_size(3)),
+                 "--eps1", draw(EPS), "--eps2", draw(EPS)]
+                + draw(_opt("--innocents", _size(10)))
+                + draw(_opt("--coalition", _size(8)))
+                + draw(_opt("--cutoff", CUTOFF))
+                + draw(st.sampled_from([[], [], ["--length", length], ["--threshold", z],
+                                        ["--length", length, "--threshold", z]]))
+                + draw(_opt("--bins", _size(100))) + strategy)
+    return common + [cmd] + rest
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli_fuzz")
+    book = d / "book.bin"
+    assert cli_module.main(["--seed", "3", "generate", "--users", "20", "--length", "200",
+                            "--cutoff", "0.01", "--threshold", "5", "--c0", "4",
+                            "--eps1", "0.05", "--eps2", "0.3", "--out", str(book)]) == 0
+    blob = bytearray(book.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    texts = {"corrupt": bytes(blob), "pirate": b"01" * 100, "short_pirate": b"0101",
+             "bad_pirate": b"01x", "psi": b"0,0\n1,0.5\n2,1\n", "bad_psi": b"0,nan\n1,2\n"}
+    for name, data in texts.items():
+        (d / name).write_bytes(data)
+    files = {name: str(d / name) for name in [*texts, "missing"]}
+    return {**files, "dir": d, "book": str(book)}
+
+
+class TestCliFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_argv_ends_in_a_documented_exit(self, run_cli, fuzz_files, data):
+        argv = data.draw(_argv(fuzz_files), label="argv")
+        res = run_cli(argv)
+        assert res.code in (0, 2, 3, 4), res.err
+        assert "Traceback" not in res.err

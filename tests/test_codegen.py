@@ -348,6 +348,23 @@ class TestCodebookFile:
         assert peak < 0.5 * rows.nbytes
         assert np.array_equal(load_codebook(tmp_path / "big.bin").rows, rows)
 
+    def test_load_holds_no_copy_of_the_rows(self, tmp_path):
+        # The rows view the file's bytes; a copy would peak near 2x the file.
+        m, n = 8038, 2000
+        rows = np.random.default_rng(6).integers(
+            0, 2 ** 64, size=(n, (m + 63) // 64), dtype="<u8")
+        path = tmp_path / "big.bin"
+        save_codebook(Codebook(bias=sample_bias(m, 1e-3, seed=6), rows=rows, seed=6), path)
+        tracemalloc.start()
+        try:
+            cb = load_codebook(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert np.array_equal(cb.rows, rows)
+        assert not cb.rows.flags.writeable
+
     def test_errors_are_oserrors(self):
         # Callers treating storage failures uniformly can catch OSError.
         assert issubclass(CodebookFormatError, OSError)

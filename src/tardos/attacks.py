@@ -26,12 +26,13 @@ from .rng import TAG_FORGE, stream
 from .tracer import PirateCopy
 
 KINDS = ("extremal", "interleave", "majority", "minority", "coin")
+_MAX_C = 10 ** 6  # a psi table holds c + 1 floats
 
 
 def strategy_psi(kind, c):
     """The psi table of a named strategy for coalition size ``c``."""
-    if c < 1 or int(c) != c:
-        raise ParameterError("coalition size must be a positive integer")
+    if not 1 <= c <= _MAX_C or int(c) != c:
+        raise ParameterError(f"coalition size must be an integer in [1, {_MAX_C}]")
     c = int(c)
     x = np.arange(c + 1, dtype=np.float64)
     if kind == "extremal":

@@ -85,12 +85,12 @@ def cmd_generate(args):
             raise ParameterError("--cutoff is required when --c0 is not given")
         t = default_cutoff(args.c0)
     params = None
+    missing = [f"--{k}" for k in ("length", "c0", "eps1", "eps2") if getattr(args, k) is None]
+    if args.threshold is not None and missing:
+        raise ParameterError("--threshold is stored only with --length and a full plan; "
+                             f"also give {'/'.join(missing)}")
     if args.length is not None:
         m = args.length
-        missing = [f"--{k}" for k in ("c0", "eps1", "eps2") if getattr(args, k) is None]
-        if args.threshold is not None and missing:
-            raise ParameterError(
-                f"--threshold is stored only with a full plan; also give {'/'.join(missing)}")
         if not missing:
             params = SchemeParams(n=args.users, m=m, c0=args.c0, eps1=args.eps1,
                                   eps2=args.eps2, t=t, Z=args.threshold)
@@ -183,7 +183,7 @@ def cmd_predict(args):
     c = args.coalition if args.coalition is not None else args.c0
     t = args.cutoff if args.cutoff is not None else default_cutoff(args.c0)
     tau = args.c0 * t
-    summary = gaussian.moments(_strategy(args), c, t)
+    summary = gaussian.moments(_strategy(args), c, t, c0=args.c0)
     mmin = gaussian.m_min(summary, args.eps1, args.eps2, args.c0)
     plan = gaussian.conservative_plan(args.c0, tau, args.eps1, args.eps2)
     m = args.length if args.length is not None else max(plan.m, 1)

@@ -30,7 +30,8 @@ from .rng import TAG_BIAS, TAG_ROW, fan_out, stream
 MAGIC = b"TRDC"
 VERSION = 1
 
-# Default memory budget for a single codebook: 2^33 matrix bits = 1 GiB packed.
+# Default memory budget for a single codebook: 2^33 bits = 1 GiB, counting the
+# packed matrix and the 64-bit bias of every column.
 DEFAULT_MAX_BITS = 1 << 33
 
 # ---------------------------------------------------------------------------
@@ -191,13 +192,6 @@ def _words_per_row(m):
     return (m + 63) // 64
 
 
-def _pack_row(bits, words):
-    out = np.zeros(words * 8, dtype=np.uint8)
-    packed = np.packbits(bits, bitorder="little")
-    out[:packed.size] = packed
-    return out.view("<u8")
-
-
 def row_bits(bias, seed, j):
     """Regenerate row ``j`` alone: Bernoulli(p_i) from stream (seed, row tag, j)."""
     rng = stream(seed, TAG_ROW, j)
@@ -251,12 +245,12 @@ class Codebook:
 
 
 def _check_capacity(n, m, max_bits=DEFAULT_MAX_BITS):
-    """Raise unless an n x m codebook fits in ``max_bits`` bits."""
+    """Raise unless an n x m codebook and its m float64 biases fit in ``max_bits``."""
     if n < 1:
         raise ParameterError("n must be at least 1")
-    if n * m > max_bits:
-        raise CapacityError(
-            f"codebook of {n} x {m} bits exceeds the budget of {max_bits} bits")
+    if (n + 64) * m > max_bits:
+        raise CapacityError(f"codebook of {n} x {m} bits plus {m} 64-bit biases "
+                            f"exceeds the budget of {max_bits} bits")
 
 
 def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS):
@@ -266,14 +260,13 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS)
     stream j, so the result is identical for every ``threads`` value.
     """
     _check_capacity(n, bias.m, max_bits)
-    words = _words_per_row(bias.m)
-    rows = np.empty((n, words), dtype="<u8")
+    rows = np.zeros((n, _words_per_row(bias.m)), dtype="<u8")
+    octets, width = rows.view(np.uint8), (bias.m + 7) // 8
 
-    def fill(lo, hi):
-        for j in range(lo, hi):
-            rows[j] = _pack_row(row_bits(bias, seed, j), words)
+    def pack(j):
+        octets[j, :width] = np.packbits(row_bits(bias, seed, j), bitorder="little")
 
-    fan_out(fill, n, threads)
+    fan_out(pack, n, threads)
     return Codebook(bias=bias, rows=rows, seed=int(seed), params=params)
 
 

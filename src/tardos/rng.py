@@ -4,8 +4,9 @@ All randomness in the package flows through counter-based Philox generators
 keyed by ``(master_seed, purpose_tag, index)``. Distinct purposes and distinct
 indices give statistically independent streams, so any single object (one
 codeword row, one simulation trial, one search block) can be regenerated in
-isolation and work can be split across threads without changing a single bit
-of output.
+isolation. Work on such objects is a function of the index, mapped by
+:func:`fan_out`, so it can be split across threads without changing a single
+bit of output.
 
 The generator choice is documented behavior of this implementation, not a
 canonical part of the scheme; only the distributional contracts are.
@@ -57,17 +58,19 @@ def substreams(seed, tag, index, n):
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
-def fan_out(fill, n, threads):
-    """Call ``fill(lo, hi)`` over contiguous ranges that cover ``[0, n)``.
+def fan_out(fn, n, threads):
+    """Return ``[fn(i) for i in range(n)]``, split over up to ``threads`` workers.
 
-    One range per worker, inline for one worker or one index; an exception
-    raised in a worker is raised here. ``fill`` writes only the slots of its
-    own range, so the result does not depend on ``threads``.
+    Each worker maps one contiguous range of indices, inline for one worker or
+    one index; an exception raised in a worker is raised here. Results come
+    back in index order, so when ``fn(i)`` depends only on ``i`` the result
+    does not depend on ``threads``.
     """
     threads = max(1, min(int(threads), n))
     if threads == 1:
-        fill(0, n)
-        return
+        return [fn(i) for i in range(n)]
     starts = range(0, n, -(-n // threads))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, starts, [*starts[1:], n]))
+        chunks = pool.map(lambda lo, hi: [fn(i) for i in range(lo, hi)],
+                          starts, [*starts[1:], n])
+        return [r for chunk in chunks for r in chunk]

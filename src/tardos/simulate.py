@@ -10,8 +10,9 @@ where the forged copy is 0 contribute nothing to any score, so innocent bits
 are only drawn in the forged copy's one-columns.
 
 Aggregates are deterministic for a fixed (config, seed) and independent of
-the thread count: every trial has its own counter-based random substream and
-per-trial results land in preallocated slots that are reduced in trial order.
+the thread count: a trial is a function of its index, drawn from its own
+counter-based random substream, and :func:`run` reduces the trials' scores in
+trial order.
 """
 
 import json
@@ -189,33 +190,21 @@ def _histogram(sample, bins):
                      count=int(sample.size))
 
 
-def _run_trials(cfg, dist, lo, hi, slots):
-    """Fill per-trial result slots for trial indices [lo, hi)."""
-    m, Z, c = cfg.params.m, cfg.params.Z, cfg.c
-    table = cfg.strategy
-    K = cfg.innocents_per_trial
-    for k in range(lo, hi):
-        g_bias, g_rows, g_forge, g_innocent = substreams(cfg.seed, TAG_TRIAL, k, 4)
-        p = dist.sample(m, g_bias)
-        rows = (g_rows.random((c, m)) < p).astype(np.uint8)
-        y = forge(rows, table, rng=g_forge)
-        mask, w, base = _score_pieces(y, p)
-        m1 = w.size
-        coal = rows[:, mask].astype(np.float64) @ w + base
-        bits = g_innocent.random((K, m1)) < p[mask]
-        scores = bits.astype(np.float64) @ w + base
+def _trial(cfg, dist, k):
+    """Draw, forge and score trial ``k``.
 
-        slots["fn"][k] = not bool(np.any(coal > Z))
-        slots["accused"][k] = int(np.count_nonzero(scores > Z))
-        slots["coal_total"][k] = float(coal.sum())
-        slots["coal_max"][k] = float(coal.max())
-        slots["s1"][k] = float(scores.sum())
-        slots["s2"][k] = float((scores ** 2).sum())
-        slots["s3"][k] = float((scores ** 3).sum())
-        slots["s4"][k] = float((scores ** 4).sum())
-        slots["normalized"][k] = scores / math.sqrt(max(m1, 1))
-        if cfg.keep_scores:
-            slots["raw"][k] = scores
+    Returns the coalition's scores, the sampled innocents' scores and the
+    number of evidence columns (ones in the forged copy).
+    """
+    m = cfg.params.m
+    g_bias, g_rows, g_forge, g_innocent = substreams(cfg.seed, TAG_TRIAL, k, 4)
+    p = dist.sample(m, g_bias)
+    rows = (g_rows.random((cfg.c, m)) < p).astype(np.uint8)
+    y = forge(rows, cfg.strategy, rng=g_forge)
+    mask, w, base = _score_pieces(y, p)
+    coal = rows[:, mask].astype(np.float64) @ w + base
+    bits = g_innocent.random((cfg.innocents_per_trial, w.size)) < p[mask]
+    return coal, bits.astype(np.float64) @ w + base, w.size
 
 
 def run(cfg):
@@ -228,30 +217,26 @@ def run(cfg):
             f"budget is {_BIT_BUDGET:.2e}")
     dist = BiasDistribution(kind=ARCSINE, t=cfg.params.t)
     predicted = moments(cfg.strategy, c, cfg.params.t)
-
-    slots = {
-        "fn": np.zeros(trials, dtype=bool),
-        "accused": np.zeros(trials, dtype=np.int64),
-        "coal_total": np.zeros(trials, dtype=np.float64),
-        "coal_max": np.zeros(trials, dtype=np.float64),
-        "s1": np.zeros(trials, dtype=np.float64),
-        "s2": np.zeros(trials, dtype=np.float64),
-        "s3": np.zeros(trials, dtype=np.float64),
-        "s4": np.zeros(trials, dtype=np.float64),
-        "normalized": [None] * trials,
-        "raw": [None] * trials,
-    }
-    fan_out(lambda lo, hi: _run_trials(cfg, dist, lo, hi, slots), trials, cfg.threads)
-
+    records = fan_out(lambda k: _trial(cfg, dist, k), trials, cfg.threads)
+    fn = [not bool(np.any(coal > Z)) for coal, _, _ in records]
+    accused = [int(np.count_nonzero(scores > Z)) for _, scores, _ in records]
+    coal_total = np.array([float(coal.sum()) for coal, _, _ in records])
+    coal_max = [float(coal.max()) for coal, _, _ in records]
     N = trials * K
-    s1, s2, s3, s4 = (float(np.sum(slots[k])) for k in ("s1", "s2", "s3", "s4"))
+    s1, s2, s3, s4 = (float(np.sum([float((scores ** e).sum()) for _, scores, _ in records]))
+                      for e in (1, 2, 3, 4))
+    normalized = np.empty(N)
+    for k, (_, scores, m1) in enumerate(records):
+        np.divide(scores, math.sqrt(max(m1, 1)), out=normalized[k * K:(k + 1) * K])
+    raw = np.concatenate([scores for _, scores, _ in records]) if cfg.keep_scores else None
+    del records  # the raw scores go before the KS sort copies ``normalized``
+
     mean_inn = s1 / N
     m2 = s2 / N - mean_inn ** 2
     m4 = (s4 - 4.0 * mean_inn * s3 + 6.0 * mean_inn ** 2 * s2) / N - 3.0 * mean_inn ** 4
     se_mean = math.sqrt(max(m2, 0.0) / N)
     se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / N)
 
-    coal_total = slots["coal_total"]
     mean_coal = float(np.mean(coal_total))
     d = coal_total - mean_coal
     c2 = float(np.mean(d ** 2))
@@ -259,9 +244,7 @@ def run(cfg):
     se_coal_mean = math.sqrt(max(c2, 0.0) / trials)
     se_coal_var = math.sqrt(max(c4 - c2 * c2, 0.0) / trials)
 
-    accused_total = int(np.sum(slots["accused"]))
-    fn_total = int(np.count_nonzero(slots["fn"]))
-    normalized = np.concatenate(slots["normalized"])
+    accused_total, fn_total = sum(accused), sum(fn)
     ks_inn = _ks_distance(normalized)
     scale = predicted.sigma_scaled * math.sqrt(m)
     coal_norm = (coal_total - predicted.mu_scaled * m) / scale
@@ -288,11 +271,11 @@ def run(cfg):
         trials=trials,
         innocents_total=N,
         m=m, Z=float(Z), c=c,
-        trial_fn=tuple(bool(v) for v in slots["fn"]),
-        trial_innocents_accused=tuple(int(v) for v in slots["accused"]),
+        trial_fn=tuple(fn),
+        trial_innocents_accused=tuple(accused),
         trial_coalition_total=tuple(float(v) for v in coal_total),
-        trial_coalition_max=tuple(float(v) for v in slots["coal_max"]),
-        innocent_scores=(np.concatenate(slots["raw"]) if cfg.keep_scores else None),
+        trial_coalition_max=tuple(coal_max),
+        innocent_scores=raw,
     )
 
 

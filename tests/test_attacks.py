@@ -31,6 +31,12 @@ class TestStrategyTables:
         with pytest.raises(ParameterError):
             strategy_psi("coin", 0)
 
+    @pytest.mark.parametrize("c", [10 ** 6 + 1, 10 ** 12, 10 ** 30, float("inf")])
+    def test_coalition_too_large_for_a_table(self, c):
+        # Rejected before the c + 1 table is allocated.
+        with pytest.raises(ParameterError, match="coalition size"):
+            strategy_psi("extremal", c)
+
     def test_single_member_coalition(self):
         # c = 1: every column is undetectable, psi = (0, 1) for all kinds.
         for kind in KINDS:

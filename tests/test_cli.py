@@ -420,6 +420,16 @@ class TestExitCodes:
           "--out", "unused.bin"], "budget"),
         (["simulate", "--c0", "4", "--eps1", "0.1", "--eps2", "0.3", "--trials", "1",
           "--length", "100", "--threshold", "3", "--bins", str(10 ** 30)], "bins"),
+        (["generate", "--users", "5", "--c0", "4", "--eps1", "0.01", "--eps2", "0.1",
+          "--threshold", "99", "--out", "unused.bin"], "--length"),
+        (["generate", "--users", "1", "--c0", "2000", "--eps1", "1e-10", "--eps2", "0.1",
+          "--out", "unused.bin"], "64-bit biases"),
+        (["predict", "--c0", "4", "--coalition", str(10 ** 12), "--eps1", "0.1",
+          "--eps2", "0.3"], "coalition size"),
+        (["predict", "--c0", str(10 ** 30), "--eps1", "0.1", "--eps2", "0.3"],
+         "coalition size"),
+        (["simulate", "--c0", str(10 ** 30), "--eps1", "0.1", "--eps2", "0.3",
+          "--trials", "1"], "coalition size"),
     ])
     def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
         out = tmp_path / "unused.bin"
@@ -475,10 +485,9 @@ class TestExitCodes:
 # iterations <= 2000, at most 4 table cells, trials <= 3, innocents <= 10,
 # c0 <= 8 for generate and simulate and <= 40 for predict, coalition <= 40,
 # explicit lengths <= 2000. Huge integers (2^64, 10^30) still go to users,
-# lengths, trials, innocents, bins, threads, the search's c0 and simulate's
-# coalition, which must be rejected (or cost nothing) before anything is
-# allocated; never to iterations, to predict's coalition or to the c0 of
-# generate, simulate and predict, whose cost grows with the value.
+# lengths, trials, innocents, bins, threads, every c0 and every coalition,
+# which must be rejected (or cost nothing) before anything is allocated; never
+# to iterations, whose cost grows with the value.
 HUGE = [str(2 ** 64), str(10 ** 30)]
 EDGES = ["0", "-1", "nan", "inf", "1", "1.5", "1e-300", "x"]
 
@@ -527,7 +536,7 @@ def _argv(draw, files):
                 + draw(_opt("--length", _size(2000)))
                 + draw(_opt("--cutoff", CUTOFF))
                 + draw(_opt("--threshold", THRESHOLD))
-                + draw(_opt("--c0", _size(8, huge=False)))
+                + draw(_opt("--c0", _size(8)))
                 + draw(_opt("--eps1", EPS)) + draw(_opt("--eps2", EPS))
                 + ["--out", out])
     elif cmd == "attack":
@@ -548,14 +557,14 @@ def _argv(draw, files):
                  "--iterations", draw(_size(2000, huge=False))]
                 + draw(_opt("--eps1", EPS)))
     elif cmd == "predict":
-        rest = (["--c0", draw(_size(40, huge=False)),
+        rest = (["--c0", draw(_size(40)),
                  "--eps1", draw(EPS), "--eps2", draw(EPS)]
-                + draw(_opt("--coalition", _size(40, huge=False)))
+                + draw(_opt("--coalition", _size(40)))
                 + draw(_opt("--cutoff", CUTOFF))
                 + draw(_opt("--length", _size(2000))) + strategy)
     else:
         length, z = draw(_size(2000)), draw(THRESHOLD)
-        rest = (["--c0", draw(_size(8, huge=False)), "--trials", draw(_size(3)),
+        rest = (["--c0", draw(_size(8)), "--trials", draw(_size(3)),
                  "--eps1", draw(EPS), "--eps2", draw(EPS)]
                 + draw(_opt("--innocents", _size(10)))
                 + draw(_opt("--coalition", _size(8)))

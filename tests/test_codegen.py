@@ -221,6 +221,11 @@ class TestGenMatrix:
         bv = sample_bias(1000, 1e-3, seed=10)
         with pytest.raises(CapacityError):
             gen_matrix(10, bv, seed=10, max_bits=5000)
+        # 1 x 100 matrix bits fit in 1000; with the 100 float64 biases they do not.
+        bv = sample_bias(100, 1e-3, seed=10)
+        with pytest.raises(CapacityError, match="biases"):
+            gen_matrix(1, bv, seed=10, max_bits=1000)
+        assert gen_matrix(1, bv, seed=10, max_bits=6500).n == 1
 
     def test_n_validation(self):
         bv = sample_bias(8, 1e-3, seed=11)

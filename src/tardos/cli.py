@@ -421,7 +421,13 @@ def main(argv=None):
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:  # the CLI's integrals miss at tiny cutoffs
-        print(f"error: usage: {exc}; try a larger --cutoff", file=sys.stderr)
+        # tau = c0 * t must stay below 1/2, so a large c0 leaves no cutoff big
+        # enough for the integrals.
+        c0 = getattr(args, "c0", None)
+        bound = f" = {0.5 / c0:.3g}" if c0 else ""
+        print(f"error: usage: {exc}; the bias cutoff is too small: raise --cutoff "
+              f"(it must stay below 1/(2*c0){bound}) or, if no such cutoff works, "
+              f"lower --c0", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as exc:  # includes codebook format errors
         print(f"error: i/o: {exc}", file=sys.stderr)

@@ -4,7 +4,13 @@ A codebook is the secret pair (bias vector p, n x m bit matrix X). Rows are
 user codewords; entry (j, i) is Bernoulli(p_i). Every row is generated from
 its own random stream keyed by (seed, TAG_ROW, row index), so a single row
 can be regenerated without touching the others and generation parallelizes
-with bit-identical output for any worker count.
+with bit-identical output for any worker count. Rows are drawn in blocks of
+:data:`_BLOCK_ROWS`: the block's row keys are derived in bulk by
+:func:`rng.keys`, one Philox is re-keyed per row, and each row is packed as
+it is drawn. Each bit is an exact integer compare of a raw Philox word with
+the column's threshold (:func:`rng.bernoulli`), equal to the ``u < p_i`` of
+a uniform double. The row streams and bits are unchanged by this, so neither
+the row stream nor the file format has a new version.
 
 File format (all integers little-endian):
 
@@ -25,10 +31,14 @@ import numpy as np
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError, ParameterError)
 from .model import _SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams
-from .rng import TAG_BIAS, TAG_ROW, fan_out, stream
+from .rng import TAG_BIAS, TAG_ROW, _stream_range, bernoulli, fan_out, stream, thresholds
 
 MAGIC = b"TRDC"
 VERSION = 1
+
+# Rows keyed by one :func:`rng.keys` call and drawn by one re-keyed Philox;
+# each row is packed as it is drawn, so a worker holds one row at a time.
+_BLOCK_ROWS = 64
 
 # Default memory budget for a single codebook: 2^33 bits = 1 GiB, counting the
 # packed matrix and the 64-bit bias of every column.
@@ -168,8 +178,9 @@ class BiasVector:
             raise ParameterError("bias vector must be a nonempty 1-d array")
         if not 0.0 < self.t < 0.5:
             raise ParameterError("cutoff t must lie in (0, 1/2)")
-        lo, hi = self.t - _SUPPORT_SLOP, 1.0 - self.t + _SUPPORT_SLOP
-        if not np.all(np.isfinite(arr)) or arr.min() < lo or arr.max() > hi:
+        # The slop reaches past 0 and 1 at a tiny t; a bias never does.
+        lo, hi = max(self.t - _SUPPORT_SLOP, 0.0), min(1.0 - self.t + _SUPPORT_SLOP, 1.0)
+        if not np.all(np.isfinite(arr)) or arr.min() <= 0.0 or arr.min() < lo or arr.max() > hi:
             raise ParameterError("bias values must lie within [t, 1-t]")
 
     @property
@@ -194,8 +205,8 @@ def _words_per_row(m):
 
 def row_bits(bias, seed, j):
     """Regenerate row ``j`` alone: Bernoulli(p_i) from stream (seed, row tag, j)."""
-    rng = stream(seed, TAG_ROW, j)
-    return (rng.random(bias.m) < bias.p).astype(np.uint8)
+    gen = next(_stream_range(seed, TAG_ROW, j, j + 1))
+    return bernoulli(gen, thresholds(bias.p), bias.m).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -262,11 +273,14 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS)
     _check_capacity(n, bias.m, max_bits)
     rows = np.zeros((n, _words_per_row(bias.m)), dtype="<u8")
     octets, width = rows.view(np.uint8), (bias.m + 7) // 8
+    thr = thresholds(bias.p)
 
-    def pack(j):
-        octets[j, :width] = np.packbits(row_bits(bias, seed, j), bitorder="little")
+    def pack(b):
+        lo, hi = b * _BLOCK_ROWS, min(n, (b + 1) * _BLOCK_ROWS)
+        for j, gen in enumerate(_stream_range(seed, TAG_ROW, lo, hi), lo):
+            octets[j, :width] = np.packbits(bernoulli(gen, thr, bias.m), bitorder="little")
 
-    fan_out(pack, n, threads)
+    fan_out(pack, -(-n // _BLOCK_ROWS), threads)
     return Codebook(bias=bias, rows=rows, seed=int(seed), params=params)
 
 

@@ -25,7 +25,7 @@ from .attacks import Strategy, forge
 from .errors import CapacityError, ParameterError
 from .gaussian import MomentSummary, erfc_inv, moments, normal_cdf
 from .model import ARCSINE, BiasDistribution, SchemeParams
-from .rng import TAG_TRIAL, fan_out, substreams
+from .rng import TAG_TRIAL, bernoulli, fan_out, substreams, thresholds
 from .tracer import _score_pieces
 
 __all__ = ["SimConfig", "SimReport", "Histogram", "HistogramBundle",
@@ -199,11 +199,12 @@ def _trial(cfg, dist, k):
     m = cfg.params.m
     g_bias, g_rows, g_forge, g_innocent = substreams(cfg.seed, TAG_TRIAL, k, 4)
     p = dist.sample(m, g_bias)
-    rows = (g_rows.random((cfg.c, m)) < p).astype(np.uint8)
+    thr = thresholds(p)
+    rows = bernoulli(g_rows, thr, (cfg.c, m)).astype(np.uint8)
     y = forge(rows, cfg.strategy, rng=g_forge)
     mask, w, base = _score_pieces(y, p)
     coal = rows[:, mask].astype(np.float64) @ w + base
-    bits = g_innocent.random((cfg.innocents_per_trial, w.size)) < p[mask]
+    bits = bernoulli(g_innocent, thr[mask], (cfg.innocents_per_trial, w.size))
     return coal, bits.astype(np.float64) @ w + base, w.size
 
 

@@ -439,6 +439,17 @@ class TestExitCodes:
         assert "Traceback" not in res.err and "erfc_inv" not in res.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cutoff", [[], ["--cutoff", "0.01"]])
+    def test_cutoff_too_small_for_any_cutoff_is_usage_error(self, run_cli, cutoff):
+        # tau = c0 * t must stay below 1/2, so at c0 = 2^64 every valid cutoff
+        # is too small for the integrals: the hint must not stop at --cutoff.
+        res = run_cli(["predict", "--c0", str(2 ** 64), "--coalition", "40",
+                       "--eps1", ".1", "--eps2", ".3"] + cutoff)
+        assert res.code == 2
+        assert "Traceback" not in res.err
+        if not cutoff:
+            assert "1/(2*c0) = 2.71e-20" in res.err and "--c0" in res.err
+
     @pytest.mark.parametrize("seed, c0, ratio", [(7, 1, 0.3), (42, 1, 1.0), (7, 80, 0.01)])
     def test_search_cap_winner_exits_0(self, run_cli, seed, c0, ratio):
         res = run_cli(["--seed", str(seed), "search", "--c0", str(c0), "--ratio", str(ratio),

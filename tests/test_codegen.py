@@ -29,6 +29,7 @@ from tardos import (
 )
 from tardos import codegen
 from tardos.codegen import _CRC_TABLES, _LANE_WORDS, _MAX_LANES, _MIN_LANES
+from tardos.rng import TAG_ROW, stream
 
 from conftest import chi_square_gof
 
@@ -126,6 +127,11 @@ class TestBiasVector:
             BiasVector(p=np.array([0.5]), t=0.6)
         with pytest.raises(ParameterError):
             BiasVector(p=np.array([0.001]), t=0.01)  # below cutoff
+        # The support slop reaches past 0 and 1 at a tiny cutoff.
+        for p in (0.0, -1e-13, 1.0 + 2.0 ** -52):
+            with pytest.raises(ParameterError):
+                BiasVector(p=np.array([0.5, p]), t=1e-17)
+        assert BiasVector(p=np.array([1e-17, 1.0]), t=1e-17).m == 2
 
     def test_readonly(self):
         bv = BiasVector(p=np.array([0.3, 0.5]), t=0.01)
@@ -167,6 +173,43 @@ class TestGenMatrix:
         cb = gen_matrix(9, bv, seed=3)
         for j in (0, 4, 7):
             assert np.array_equal(cb.row(j), row_bits(bv, 3, j))
+
+    def test_rows_match_the_float_formula(self):
+        # Rows are drawn in 64-row blocks from bulk-derived keys and raw-word
+        # compares; they must pack the bits the per-row float formula drew,
+        # around the block edge and for every thread count.
+        for m in range(1, 130):
+            bv = sample_bias(m, 1e-3, seed=m)
+            bits = np.stack([stream(12, TAG_ROW, j).random(m) < bv.p for j in range(130)])
+            want = np.zeros((130, 8 * ((m + 63) // 64)), dtype=np.uint8)
+            want[:, :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+            for n in (1, 63, 64, 65, 130):
+                for threads in (1, 2, 3):
+                    cb = gen_matrix(n, bv, seed=12, threads=threads)
+                    assert np.array_equal(cb.rows.view(np.uint8), want[:n]), (m, n, threads)
+
+    def test_bias_of_one_draws_ones(self):
+        # Below a cutoff of 2^-53, 1 - t rounds to 1.0 and so can a bias.
+        bv = BiasVector(p=np.array([1.0, 0.5, 1e-17, 1.0]), t=1e-17)
+        cb = gen_matrix(70, bv, seed=2)
+        bits = np.stack([stream(2, TAG_ROW, j).random(4) < bv.p for j in range(70)])
+        assert np.array_equal(cb.block_bits(0, 70), bits.astype(np.uint8))
+        assert cb.block_bits(0, 70)[:, [0, 3]].all()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_rows_are_packed_as_drawn(self, threads):
+        # A worker holds one drawn row (raw words and bools, 9 bytes a column)
+        # at a time, never a block of unpacked rows, so a small-n, large-m
+        # codebook needs little beyond its packed matrix and its thresholds.
+        m = 1 << 18
+        bv = BiasVector(p=np.full(m, 0.5), t=0.01)
+        tracemalloc.start()
+        try:
+            cb = gen_matrix(64, bv, seed=1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - cb.rows.nbytes < (8 + 10 * threads) * m
 
     def test_rows_differ_between_users(self):
         bv = sample_bias(512, 1e-3, seed=4)

@@ -1,12 +1,23 @@
-"""Seeds, and the thread fan-out shared by codeword rows and simulation trials."""
+"""Seeds, bulk stream keys, raw-word Bernoulli draws, and the thread fan-out."""
 
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tardos import ParameterError
-from tardos.rng import check_seed, fan_out, stream
+from tardos.rng import (_stream_range, bernoulli, check_seed, fan_out, keys, stream,
+                        thresholds)
+
+U64 = 2 ** 64
+
+
+def _numpy_keys(seed, tag, lo, hi):
+    return np.array([np.random.SeedSequence(seed, spawn_key=(tag, j)).generate_state(
+        2, np.uint64) for j in range(lo, hi)], dtype=np.uint64).reshape(-1, 2)
 
 
 def _record(n, threads):
@@ -84,3 +95,82 @@ def test_seed_outside_u64_rejected(seed):
 def test_largest_seed_accepted():
     assert check_seed(2 ** 64 - 1) == 2 ** 64 - 1
     stream(2 ** 64 - 1, 1)
+
+
+# Indices around 0, 2^32 (where an index takes a second 32-bit word) and 2^64.
+_indices = st.one_of(st.integers(0, U64 - 1), st.integers(0, 64),
+                     st.integers(2 ** 32 - 16, 2 ** 32 + 16), st.integers(U64 - 16, U64 - 1))
+
+
+@given(seed=st.one_of(st.integers(0, U64 - 1), st.integers(0, 2 ** 32 + 1)),
+       tag=st.integers(1, 5), lo=_indices, k=st.integers(0, 9))
+def test_keys_equal_seed_sequence(seed, tag, lo, k):
+    lo = min(lo, U64 - k)
+    assert np.array_equal(keys(seed, tag, lo, lo + k), _numpy_keys(seed, tag, lo, lo + k))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32, U64 - 1])
+@pytest.mark.parametrize("lo, hi", [(0, 5), (2 ** 32 - 3, 2 ** 32 + 3),
+                                    (U64 - 4, U64), (7, 7)])
+def test_keys_pinned_cases(seed, lo, hi):
+    got = keys(seed, 2, lo, hi)
+    assert got.shape == (hi - lo, 2) and got.dtype == np.uint64
+    assert np.array_equal(got, _numpy_keys(seed, 2, lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (5, 4), (0, U64 + 1)])
+def test_keys_outside_u64_rejected(lo, hi):
+    with pytest.raises(ParameterError):
+        keys(0, 2, lo, hi)
+
+
+def test_stream_range_draws_what_stream_draws():
+    lo, hi = 2 ** 32 - 2, 2 ** 32 + 2
+    got = [gen.random(5) for gen in _stream_range(9, 2, lo, hi)]
+    assert np.array_equal(got, [stream(9, 2, j).random(5) for j in range(lo, hi)])
+
+
+class _GivenWords:
+    """Stands in for a Generator whose raw words are ``words``."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words = self, words
+
+    def random_raw(self, shape):
+        return self.words.reshape(shape)
+
+
+def _edge_probabilities(t, k):
+    """p at t, 1 - t and 1, at k * 2^-53 (p * 2^53 an integer), and their neighbours."""
+    ps = np.array([t, 1.0 - t, 1.0, k * 2.0 ** -53, 1.0 - k * 2.0 ** -53])
+    ps = np.concatenate([ps, np.nextafter(ps, 0.0), np.nextafter(ps, 1.0)])
+    return ps[(ps > 0.0) & (ps <= 1.0)]
+
+
+@given(t=st.floats(1e-300, 0.5, exclude_max=True), k=st.integers(1, 2 ** 53 - 1),
+       rows=st.integers(1, 4), seed=st.integers(0, U64 - 1))
+def test_bernoulli_equals_float_compare(t, k, rows, seed):
+    p = _edge_probabilities(t, k)
+    thr = thresholds(p)
+    # The compare is exact: the threshold is the largest word whose double
+    # is below p, and the next word up (0 after the last word) is not.
+    for word in (thr & ~np.uint64(2047), thr, thr + np.uint64(1)):
+        u = (word >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert np.array_equal(bernoulli(_GivenWords(word), thr, p.size), u < p)
+    gen, twin = stream(seed, 5, k), stream(seed, 5, k)
+    assert np.array_equal(bernoulli(gen, thr, (rows, p.size)), twin.random((rows, p.size)) < p)
+    assert np.array_equal(gen.random(3), twin.random(3))  # both consumed one word per bit
+
+
+def test_probability_one_draws_only_ones():
+    # A cutoff below 2^-53 lets a bias round to 1.0; u < 1 always holds.
+    assert thresholds(np.array([1.0]))[0] == np.uint64(U64 - 1)
+    gen, twin = stream(3, 5), stream(3, 5)
+    p = np.array([1.0, 0.5, 1.0 - 2.0 ** -53])
+    assert np.array_equal(bernoulli(gen, thresholds(p), (64, 3)), twin.random((64, 3)) < p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0 + 2.0 ** -52, -0.25, float("nan"), float("inf")])
+def test_thresholds_outside_unit_interval_rejected(p):
+    with pytest.raises(ParameterError):
+        thresholds(np.array([0.5, p]))

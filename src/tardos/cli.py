@@ -67,6 +67,20 @@ def _out_stream(path):
             yield fh
 
 
+def _cutoff(args):
+    """--cutoff, or 1/(300 c0); with c0 known it must keep tau = c0*t below 1/2."""
+    t = args.cutoff
+    if t is None:
+        if args.c0 is None:
+            raise ParameterError("--cutoff is required when --c0 is not given")
+        return default_cutoff(args.c0)
+    c0 = args.c0 or 1
+    if not (t > 0.0 and c0 * t < 0.5):
+        bound = f"1/(2*c0) = {0.5 / c0:.3g} at --c0 {c0}" if args.c0 else "1/2"
+        raise ParameterError(f"--cutoff {t!r} must lie in (0, {bound})")
+    return t
+
+
 def _log_resolved(args):
     skip = {"func", "config"}
     pairs = sorted((k, v) for k, v in vars(args).items()
@@ -79,11 +93,7 @@ def _log_resolved(args):
 
 
 def cmd_generate(args):
-    t = args.cutoff
-    if t is None:
-        if args.c0 is None:
-            raise ParameterError("--cutoff is required when --c0 is not given")
-        t = default_cutoff(args.c0)
+    t = _cutoff(args)
     params = None
     missing = [f"--{k}" for k in ("length", "c0", "eps1", "eps2") if getattr(args, k) is None]
     if args.threshold is not None and missing:
@@ -98,8 +108,7 @@ def cmd_generate(args):
         if args.c0 is None or args.eps1 is None or args.eps2 is None:
             raise ParameterError(
                 "give --length, or --c0/--eps1/--eps2 to derive it from a plan")
-        tau = args.c0 * t
-        plan = gaussian.conservative_plan(args.c0, tau, args.eps1, args.eps2)
+        plan = gaussian.conservative_plan(args.c0, args.c0 * t, args.eps1, args.eps2)
         m = plan.m
         params = SchemeParams(n=args.users, m=m, c0=args.c0, eps1=args.eps1,
                               eps2=args.eps2, t=t, Z=plan.Z)
@@ -181,11 +190,10 @@ def cmd_table(args):
 
 def cmd_predict(args):
     c = args.coalition if args.coalition is not None else args.c0
-    t = args.cutoff if args.cutoff is not None else default_cutoff(args.c0)
-    tau = args.c0 * t
+    t = _cutoff(args)
     summary = gaussian.moments(_strategy(args), c, t, c0=args.c0)
     mmin = gaussian.m_min(summary, args.eps1, args.eps2, args.c0)
-    plan = gaussian.conservative_plan(args.c0, tau, args.eps1, args.eps2)
+    plan = gaussian.conservative_plan(args.c0, args.c0 * t, args.eps1, args.eps2)
     m = args.length if args.length is not None else max(plan.m, 1)
     interval = gaussian.z_interval(summary, m, args.eps1, args.eps2, args.c0)
     clt = gaussian.clt_report(args.c0, t, args.eps1, m)
@@ -204,12 +212,11 @@ def cmd_predict(args):
 
 
 def cmd_simulate(args):
-    t = args.cutoff if args.cutoff is not None else default_cutoff(args.c0)
-    tau = args.c0 * t
+    t = _cutoff(args)
     if args.length is not None and args.threshold is not None:
         m, Z = args.length, args.threshold
     elif args.length is None and args.threshold is None:
-        plan = gaussian.conservative_plan(args.c0, tau, args.eps1, args.eps2)
+        plan = gaussian.conservative_plan(args.c0, args.c0 * t, args.eps1, args.eps2)
         m, Z = plan.m, plan.Z
         log.info("plan: m=%d Z=%r", m, Z)
     else:
@@ -366,8 +373,16 @@ def build_parser():
     return parser
 
 
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config_defaults(parser, path):
-    """Read key=value defaults and install them on every subparser."""
+    """Read key=value defaults and install them on every subparser.
+
+    A key must name an option of the global parser or of some subcommand, and
+    a boolean takes 1/true/yes/on or 0/false/no/off.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_kv_text(fh.read())
     subparsers = [parser] + [
@@ -375,13 +390,21 @@ def _apply_config_defaults(parser, path):
         if isinstance(action, argparse._SubParsersAction)
         for sp in action.choices.values()
     ]
+    options = {action.dest for sp in subparsers for action in sp._actions
+               if action.option_strings and action.dest != "help"}
+    unknown = sorted(set(raw) - options)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} (no such option)")
     for sp in subparsers:
         for action in sp._actions:
             key = action.dest
             if key in raw:
                 value = raw[key]
                 if isinstance(action.const, bool):
-                    converted = str(value).lower() in ("1", "true", "yes", "on")
+                    converted = _BOOLEANS.get(str(value).lower())
+                    if converted is None:
+                        raise ValueError(f"{key}={value!r} is not a boolean "
+                                         "(1/true/yes/on or 0/false/no/off)")
                 elif action.type is not None:
                     converted = action.type(str(value))
                 else:
@@ -405,7 +428,7 @@ def main(argv=None):
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 4
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            print(f"error: bad config value: {exc}", file=sys.stderr)
+            print(f"error: bad config: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
 

@@ -11,8 +11,9 @@ are only drawn in the forged copy's one-columns.
 
 Aggregates are deterministic for a fixed (config, seed) and independent of
 the thread count: a trial is a function of its index, drawn from its own
-counter-based random substream, and :func:`run` reduces the trials' scores in
-trial order.
+counter-based random substream, and returns its outcome; :func:`run`
+concatenates the outcomes in trial order. Past a trial's working set, an
+innocent score costs 8 bytes, and 16 while the trials' scores are joined.
 """
 
 import json
@@ -36,6 +37,7 @@ _CI_METHOD = "wilson-99"
 _HIST_HALF_WIDTH = 6.0
 _BIT_BUDGET = 2 * 10 ** 11
 _MAX_BINS = 10 ** 6
+_KS_CHUNK = 1 << 16
 
 
 def wilson_interval(successes, n, z=_WILSON_Z):
@@ -86,7 +88,7 @@ class SimConfig:
 class Histogram:
     """Equal-width bins of normalized scores; density integrates to one.
 
-    Samples beyond the range are clipped into the edge bins, so the full
+    Samples beyond the range are counted in the edge bins, so the full
     sample mass is always represented.
     """
 
@@ -170,19 +172,23 @@ class SimReport:
         }}, sort_keys=True) + "\n")
 
 
-def _ks_distance(sample):
-    """Two-sided Kolmogorov-Smirnov distance to the standard normal."""
-    x = np.sort(np.asarray(sample, dtype=np.float64))
+def _ks_distance(x):
+    """Kolmogorov-Smirnov distance to the standard normal; sorts ``x`` in place."""
+    x.sort()
     n = x.size
-    cdf = normal_cdf(x)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
+    gaps = []
+    for lo in range(0, n, _KS_CHUNK):  # the CDF's temporaries stay chunk-sized
+        cdf = normal_cdf(x[lo:lo + _KS_CHUNK])
+        grid = np.arange(lo + 1, lo + cdf.size + 1) / n
+        gaps += [np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))]
+    return float(np.max(gaps))
 
 
 def _histogram(sample, bins):
     half = _HIST_HALF_WIDTH
-    clipped = np.clip(sample, -half, half * (1.0 - 1e-12))
-    counts, edges = np.histogram(clipped, bins=bins, range=(-half, half))
+    counts, edges = np.histogram(sample, bins=bins, range=(-half, half))
+    counts[0] += np.count_nonzero(sample < -half)  # the edge bins take the tails
+    counts[-1] += np.count_nonzero(sample > half)
     width = edges[1] - edges[0]
     density = counts / (sample.size * width)
     return Histogram(edges=tuple(float(e) for e in edges),
@@ -191,12 +197,8 @@ def _histogram(sample, bins):
 
 
 def _trial(cfg, dist, k):
-    """Draw, forge and score trial ``k``.
-
-    Returns the coalition's scores, the sampled innocents' scores and the
-    number of evidence columns (ones in the forged copy).
-    """
-    m = cfg.params.m
+    """Draw, forge and score trial ``k``; return its outcome as :func:`run` unpacks it."""
+    m, Z = cfg.params.m, cfg.params.Z
     g_bias, g_rows, g_forge, g_innocent = substreams(cfg.seed, TAG_TRIAL, k, 4)
     p = dist.sample(m, g_bias)
     thr = thresholds(p)
@@ -205,7 +207,11 @@ def _trial(cfg, dist, k):
     mask, w, base = _score_pieces(y, p)
     coal = rows[:, mask].astype(np.float64) @ w + base
     bits = bernoulli(g_innocent, thr[mask], (cfg.innocents_per_trial, w.size))
-    return coal, bits.astype(np.float64) @ w + base, w.size
+    scores = bits.astype(np.float64) @ w + base
+    return (not bool(np.any(coal > Z)), int(np.count_nonzero(scores > Z)),
+            float(coal.sum()), float(coal.max()),
+            *(float((scores ** e).sum()) for e in (1, 2, 3, 4)),
+            scores / math.sqrt(max(w.size, 1)), scores if cfg.keep_scores else None)
 
 
 def run(cfg):
@@ -218,19 +224,12 @@ def run(cfg):
             f"budget is {_BIT_BUDGET:.2e}")
     dist = BiasDistribution(kind=ARCSINE, t=cfg.params.t)
     predicted = moments(cfg.strategy, c, cfg.params.t)
-    records = fan_out(lambda k: _trial(cfg, dist, k), trials, cfg.threads)
-    fn = [not bool(np.any(coal > Z)) for coal, _, _ in records]
-    accused = [int(np.count_nonzero(scores > Z)) for _, scores, _ in records]
-    coal_total = np.array([float(coal.sum()) for coal, _, _ in records])
-    coal_max = [float(coal.max()) for coal, _, _ in records]
+    fn, accused, coal_total, coal_max, *sums, normalized, raw = zip(
+        *fan_out(lambda k: _trial(cfg, dist, k), trials, cfg.threads))
     N = trials * K
-    s1, s2, s3, s4 = (float(np.sum([float((scores ** e).sum()) for _, scores, _ in records]))
-                      for e in (1, 2, 3, 4))
-    normalized = np.empty(N)
-    for k, (_, scores, m1) in enumerate(records):
-        np.divide(scores, math.sqrt(max(m1, 1)), out=normalized[k * K:(k + 1) * K])
-    raw = np.concatenate([scores for _, scores, _ in records]) if cfg.keep_scores else None
-    del records  # the raw scores go before the KS sort copies ``normalized``
+    s1, s2, s3, s4 = (float(np.sum(s)) for s in sums)
+    normalized = np.concatenate(normalized)
+    raw = np.concatenate(raw) if cfg.keep_scores else None
 
     mean_inn = s1 / N
     m2 = s2 / N - mean_inn ** 2
@@ -238,8 +237,9 @@ def run(cfg):
     se_mean = math.sqrt(max(m2, 0.0) / N)
     se_var = math.sqrt(max(m4 - m2 * m2, 0.0) / N)
 
-    mean_coal = float(np.mean(coal_total))
-    d = coal_total - mean_coal
+    coal = np.array(coal_total)
+    mean_coal = float(np.mean(coal))
+    d = coal - mean_coal
     c2 = float(np.mean(d ** 2))
     c4 = float(np.mean(d ** 4))
     se_coal_mean = math.sqrt(max(c2, 0.0) / trials)
@@ -248,7 +248,7 @@ def run(cfg):
     accused_total, fn_total = sum(accused), sum(fn)
     ks_inn = _ks_distance(normalized)
     scale = predicted.sigma_scaled * math.sqrt(m)
-    coal_norm = (coal_total - predicted.mu_scaled * m) / scale
+    coal_norm = (coal - predicted.mu_scaled * m) / scale
     ks_coal = _ks_distance(coal_norm)
     bundle = HistogramBundle(
         innocent=_histogram(normalized, cfg.histogram_bins),
@@ -272,10 +272,10 @@ def run(cfg):
         trials=trials,
         innocents_total=N,
         m=m, Z=float(Z), c=c,
-        trial_fn=tuple(fn),
-        trial_innocents_accused=tuple(accused),
-        trial_coalition_total=tuple(float(v) for v in coal_total),
-        trial_coalition_max=tuple(coal_max),
+        trial_fn=fn,
+        trial_innocents_accused=accused,
+        trial_coalition_total=coal_total,
+        trial_coalition_max=coal_max,
         innocent_scores=raw,
     )
 

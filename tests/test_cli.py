@@ -351,6 +351,26 @@ class TestConfigAndLogging:
                        "10", "--ratio", "0.05", "--iterations", "100"])
         assert res.code == 4
 
+    @pytest.mark.parametrize("line, key", [("epsl=0.1", "'epsl'"),
+                                           ("verbose=maybe", "verbose")])
+    def test_config_typo_is_usage_error(self, tmp_path, run_cli, line, key):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(line + "\n")
+        res = run_cli(["--config", str(conf)] + SEARCH_ARGS)
+        assert res.code == 2
+        assert key in res.err and "Traceback" not in res.err
+        assert res.out == ""
+
+    def test_config_key_of_another_subcommand_is_allowed(self, tmp_path, run_cli):
+        # A config file supplies defaults for any flag, so one file can serve
+        # every subcommand; booleans take the usual spellings.
+        conf = tmp_path / "conf.txt"
+        conf.write_text("trials=5\nout_jsonl=unused.jsonl\nverbose=Off\n")
+        res = run_cli(["--config", str(conf)] + SEARCH_ARGS)
+        assert res.code == 0, res.err
+        assert res.out == run_cli(SEARCH_ARGS).out
+        assert "verbose=False" in res.err
+
     def test_resolved_settings_logged(self, run_cli):
         res = run_cli(["--seed", "7"] + SEARCH_ARGS)
         assert "resolved config:" in res.err
@@ -430,6 +450,14 @@ class TestExitCodes:
          "coalition size"),
         (["simulate", "--c0", str(10 ** 30), "--eps1", "0.1", "--eps2", "0.3",
           "--trials", "1"], "coalition size"),
+        (["predict", "--c0", "100", "--cutoff", "0.01", "--eps1", ".1", "--eps2", ".3"],
+         "--cutoff"),
+        (["simulate", "--c0", "4", "--cutoff", "0.2", "--eps1", ".1", "--eps2", ".3",
+          "--trials", "1"], "--cutoff"),
+        (["generate", "--users", "3", "--c0", "4", "--cutoff", "0.2", "--eps1", ".1",
+          "--eps2", ".3", "--out", "unused.bin"], "--cutoff"),
+        (["predict", "--c0", str(2 ** 64), "--coalition", "40", "--eps1", ".1",
+          "--eps2", ".3", "--cutoff", "0.01"], "--cutoff"),
     ])
     def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
         out = tmp_path / "unused.bin"

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from tardos import (
     score_histograms,
     wilson_interval,
 )
+from tardos import simulate
+from tardos.gaussian import normal_cdf
+from tardos.simulate import _KS_CHUNK, _ks_distance
 
 
 def make_params(c0=6, m=1200, Z=50.0, t=None, n=1000):
@@ -251,6 +255,13 @@ class TestHistogramsAndKs:
         assert float(hi) > float(lo)
         assert float(dens) == rep.histograms.innocent.density[0]
 
+    def test_tails_land_in_edge_bins(self):
+        sample = np.array([-np.inf, -100.0, -6.0, 0.0, 6.0, 100.0, np.inf])
+        hist = simulate._histogram(sample, 4)
+        assert hist.edges == (-6.0, -3.0, 0.0, 3.0, 6.0)
+        counts = np.asarray(hist.density) * sample.size * 3.0
+        assert counts.tolist() == [3.0, 0.0, 1.0, 3.0]
+
     def test_score_histograms_wrapper(self):
         cfg = SimConfig(params=make_params(m=500, Z=20.0), strategy="coin",
                         c=6, trials=30, innocents_per_trial=20, seed=41)
@@ -287,3 +298,57 @@ class TestKeepScores:
         base = SimConfig(params=make_params(m=400, Z=20.0), strategy="coin",
                          c=6, trials=10, innocents_per_trial=7, seed=61)
         assert run(base).innocent_scores is None
+
+
+class TestKsDistance:
+    @staticmethod
+    def _one_pass(sample):
+        # The whole-array expression that the chunked distance replaced.
+        x = np.sort(np.asarray(sample, dtype=np.float64))
+        n = x.size
+        cdf = normal_cdf(x)
+        grid = np.arange(1, n + 1) / n
+        return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
+
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_chunks_match_one_pass_bit_for_bit(self, chunks, extra):
+        # _erfc_vec stops its series on the largest term of what it is given,
+        # so a chunk of small |x| runs fewer terms than the whole array; the
+        # terms left out must stay below half an ulp of every running total.
+        n = chunks * _KS_CHUNK + extra
+        g = np.random.default_rng(n)
+        x = np.clip(g.standard_normal(n) * 10.0 ** g.uniform(-8.0, 1.0, n), -40.0, 40.0)
+        edge = 1.5 * math.sqrt(2.0)  # normal_cdf's x where _erfc_vec changes branch
+        x[:6] = [-40.0, 40.0, -edge, edge, np.nextafter(-edge, 0.0), np.nextafter(edge, 0.0)]
+        expected = self._one_pass(x)
+        whole = normal_cdf(np.sort(x))
+        assert _ks_distance(x) == expected
+        assert np.all(x[:-1] <= x[1:])  # sorted in place
+        pieces = [normal_cdf(x[lo:lo + _KS_CHUNK]) for lo in range(0, n, _KS_CHUNK)]
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+
+class TestMemory:
+    def test_innocent_score_costs_at_most_16_bytes(self):
+        # A trial hands back its normalized innocent scores (8 bytes each) and
+        # no raw copy; the KS distance sorts the joined array in place and
+        # takes the CDF a chunk at a time, and the histogram counts the tails
+        # without a clipped copy. Both sizes exceed one KS chunk; joining the
+        # trials' arrays (16 bytes a score for a moment) stays under one
+        # trial's draws of 4000 x ~100 innocent bits here.
+        params = make_params(m=200, Z=20.0)
+
+        def peak(trials):
+            cfg = SimConfig(params=params, strategy="extremal", c=6, trials=trials,
+                            innocents_per_trial=4000, seed=71)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm caches
+        assert 40 * 4000 > _KS_CHUNK
+        small, large = peak(40), peak(80)
+        assert (large - small) / (40 * 4000) <= 16.0

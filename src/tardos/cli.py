@@ -17,6 +17,7 @@ failure.
 
 import argparse
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -33,6 +34,17 @@ def _positive_int(text):
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return v
+
+
+# The largest --c0 whose square is still a float; the plans scale with c0^2.
+_C0_MAX = math.isqrt(int(sys.float_info.max))
+
+
+def _c0(text):
+    v = _positive_int(text)
+    if v > _C0_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {_C0_MAX:.3g}")
     return v
 
 
@@ -256,7 +268,7 @@ def cmd_simulate(args):
 
 def _add_common(sub, *flags):
     if "c0" in flags:
-        sub.add_argument("--c0", type=_positive_int, default=None,
+        sub.add_argument("--c0", type=_c0, default=None,
                          help="design coalition size")
     if "eps" in flags:
         sub.add_argument("--eps1", type=float, default=None,
@@ -321,7 +333,7 @@ def build_parser():
 
     s = subs.add_parser("search", help="randomized search for the smallest "
                                        "length coefficient")
-    s.add_argument("--c0", type=_positive_int, required=True)
+    s.add_argument("--c0", type=_c0, required=True)
     s.add_argument("--eps1", type=float, default=1e-10)
     s.add_argument("--eps2", type=float, default=None)
     s.add_argument("--ratio", type=float, default=None,
@@ -340,7 +352,7 @@ def build_parser():
 
     p = subs.add_parser("predict", help="moment, length, threshold, and "
                                         "normal-range report")
-    p.add_argument("--c0", type=_positive_int, required=True)
+    p.add_argument("--c0", type=_c0, required=True)
     p.add_argument("--coalition", "-c", type=_positive_int, default=None,
                    help="actual coalition size (default c0)")
     p.add_argument("--cutoff", type=float, default=None)
@@ -354,7 +366,7 @@ def build_parser():
 
     si = subs.add_parser("simulate", help="Monte Carlo false-positive/negative "
                                           "rate estimation")
-    si.add_argument("--c0", type=_positive_int, required=True)
+    si.add_argument("--c0", type=_c0, required=True)
     si.add_argument("--coalition", "-c", type=_positive_int, default=None)
     si.add_argument("--cutoff", type=float, default=None)
     si.add_argument("--eps1", type=float, required=True)

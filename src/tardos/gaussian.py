@@ -395,11 +395,14 @@ def conservative_plan(c0, tau, eps1, eps2):
     _check_rate("eps1", eps1)
     _check_rate("eps2", eps2)
     bracket = erfc_inv(2.0 * eps1) + erfc_inv(2.0 * eps2) / math.sqrt(c0)
-    if bracket <= 0.0:
-        mreal = 0.0
-    else:
-        mreal = 2.0 * math.pi ** 2 / (1.0 - 2.0 * tau) ** 2 * c0 ** 2 * bracket ** 2
-    m = math.ceil(mreal)
+    try:
+        if bracket <= 0.0:
+            mreal = 0.0
+        else:
+            mreal = 2.0 * math.pi ** 2 / (1.0 - 2.0 * tau) ** 2 * c0 ** 2 * bracket ** 2
+        m = math.ceil(mreal)
+    except OverflowError:
+        raise ParameterError("c0 is too large: the length is beyond the float range") from None
     if m > 0:
         low = math.sqrt(2.0 * m) * erfc_inv(2.0 * eps1)
         high = ((1.0 - 2.0 * tau) * m / (math.pi * c0)

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import ParameterError
 from .model import g0, g1
 
-# Rows per scoring block; bounds the float64 copy of the rows that each
-# matrix-vector product makes.
-_BLOCK = 256
+# Bits per scoring block: 512 KiB as float64, and a matrix-vector product
+# far below the size at which OpenBLAS splits it over threads.
+_BLOCK_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,28 @@ def _score_pieces(y, p):
     return mask, w, base
 
 
+def _score_blocks(block, n, w, base):
+    """``base + block(lo, hi).astype(float64) @ w`` for rows 0..n-1, as one array.
+
+    ``block(lo, hi)`` returns rows lo..hi-1 as a (hi - lo, w.size) bit array
+    and is called serially, in ascending ``lo``. A block holds whole groups
+    of 4 rows, as many as fit in ``_BLOCK_BITS`` bits (at least one group),
+    except the last: it runs to row n and keeps at least 4 rows when n >= 4,
+    so it may hold up to 3 rows more. OpenBLAS's matrix-vector kernel takes
+    rows in groups of 4 and the rows left over one by one, and a product of
+    a single row takes another path, so each score is the float that one
+    product over all n rows gives on one thread, whatever the block size.
+    The blocks stay far below the size at which OpenBLAS splits a product
+    over threads, so the scores do not depend on the BLAS thread count.
+    """
+    rows = 4 * max(1, _BLOCK_BITS // (4 * max(w.size, 1)))
+    stops = range(rows, n - 3, rows)  # the last block keeps at least 4 rows
+    scores = np.empty(n, dtype=np.float64)
+    for lo, hi in zip([0, *stops], [*stops, n]):
+        scores[lo:hi] = block(lo, hi).astype(np.float64) @ w + base
+    return scores
+
+
 def score_user(row, y, bias):
     """Accusation sum of a single codeword row against pirate copy ``y``."""
     r = np.asarray(row, dtype=np.uint8)
@@ -120,9 +142,11 @@ class AccusationReport:
 def trace(cb, y, Z, threads=1, coalition=None):
     """Score every user of codebook ``cb`` against ``y`` and apply threshold Z.
 
-    Runs over 64-bit packed rows in fixed-size blocks, serially: each block is
-    one matrix-vector product, and a thread fan-out over them ran slower than
-    one thread, so ``threads`` is kept for API compatibility and is not used.
+    Unpacks and scores the 64-bit packed rows serially, one block of whole
+    4-row groups at a time (:func:`_score_blocks`), so every score is the
+    same float for any BLAS thread count. A thread fan-out over the blocks
+    ran slower than one thread, so ``threads`` is kept for API compatibility
+    and is not used.
     When ``coalition`` (user indices) is given, the report carries their
     collective sum as well.
     """
@@ -132,12 +156,7 @@ def trace(cb, y, Z, threads=1, coalition=None):
     mask, w, base = _score_pieces(y, p)
     wfull = np.zeros(p.size, dtype=np.float64)
     wfull[mask] = w
-    scores = np.empty(cb.n, dtype=np.float64)
-
-    for lo in range(0, cb.n, _BLOCK):
-        hi = min(lo + _BLOCK, cb.n)
-        scores[lo:hi] = cb.block_bits(lo, hi).astype(np.float64) @ wfull + base
-
+    scores = _score_blocks(cb.block_bits, cb.n, wfull, base)
     accused = np.flatnonzero(scores > Z).astype(np.int64)
     cscore = None
     if coalition is not None:

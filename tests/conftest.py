@@ -3,6 +3,9 @@
 import contextlib
 import io
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +46,24 @@ def run_cli():
             except SystemExit as exc:  # argparse usage errors
                 code = int(exc.code) if exc.code is not None else 0
         return CliResult(code, out.getvalue(), err.getvalue())
+
+    return _run
+
+
+@pytest.fixture
+def cli_at_blas_threads():
+    """Run ``python -m tardos`` in a child process with ``OPENBLAS_NUM_THREADS`` set.
+
+    OpenBLAS reads its thread count once, when it loads, so only a new process
+    can change it. The variable is set in the child's environment alone.
+    Returns the child's stdout; a nonzero exit fails the test.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def _run(argv, threads):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+        return subprocess.run([sys.executable, "-m", "tardos", *argv], env=env, check=True,
+                              capture_output=True, text=True, timeout=300).stdout
 
     return _run
 

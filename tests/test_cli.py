@@ -458,6 +458,16 @@ class TestExitCodes:
           "--eps2", ".3", "--out", "unused.bin"], "--cutoff"),
         (["predict", "--c0", str(2 ** 64), "--coalition", "40", "--eps1", ".1",
           "--eps2", ".3", "--cutoff", "0.01"], "--cutoff"),
+        (["predict", "--c0", str(10 ** 400), "--eps1", ".1", "--eps2", ".3"], "--c0"),
+        (["simulate", "--c0", str(10 ** 400), "--eps1", ".1", "--eps2", ".3",
+          "--trials", "1"], "--c0"),
+        (["generate", "--users", "3", "--length", "10", "--c0", str(10 ** 400),
+          "--out", "unused.bin"], "--c0"),
+        (["search", "--c0", str(10 ** 400), "--ratio", "0.1", "--iterations", "10"], "--c0"),
+        (["predict", "--c0", str(10 ** 154), "--coalition", "5", "--eps1", ".1",
+          "--eps2", ".3"], "c0 is too large"),
+        (["simulate", "--c0", str(10 ** 153), "--coalition", "5", "--eps1", ".1",
+          "--eps2", ".3", "--trials", "1"], "budget"),
     ])
     def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
         out = tmp_path / "unused.bin"

@@ -15,6 +15,7 @@ from tardos import (
     SimConfig,
     Strategy,
     conservative_plan,
+    default_cutoff,
     moments,
     run,
     score_histograms,
@@ -22,6 +23,7 @@ from tardos import (
 )
 from tardos import simulate
 from tardos.gaussian import normal_cdf
+from tardos.model import ARCSINE, BiasDistribution
 from tardos.simulate import _KS_CHUNK, _ks_distance
 
 
@@ -186,6 +188,15 @@ class TestDeterminism:
         a, b = run(self._cfg(1)), run(self._cfg(4))
         assert a == b
 
+    def test_scores_do_not_depend_on_blas_threads(self, cli_at_blas_threads):
+        # Unblocked, each trial's 997 x ~1219 innocent product was split over
+        # two OpenBLAS threads at a row that is not a multiple of 4.
+        argv = ["--seed", "3", "simulate", "--c0", "6", "--eps1", "0.01", "--eps2", "0.25",
+                "--innocents", "997", "--trials", "6", "--out-jsonl", "-"]
+        one = cli_at_blas_threads(argv, 1)
+        assert "innocent moments" in one
+        assert cli_at_blas_threads(argv, 2) == one
+
     def test_seed_changes_outcome(self):
         base = self._cfg(1)
         other = SimConfig(params=base.params, strategy="interleave", c=6,
@@ -333,9 +344,9 @@ class TestMemory:
         # A trial hands back its normalized innocent scores (8 bytes each) and
         # no raw copy; the KS distance sorts the joined array in place and
         # takes the CDF a chunk at a time, and the histogram counts the tails
-        # without a clipped copy. Both sizes exceed one KS chunk; joining the
-        # trials' arrays (16 bytes a score for a moment) stays under one
-        # trial's draws of 4000 x ~100 innocent bits here.
+        # without a clipped copy. Both sizes exceed one KS chunk; a trial
+        # draws and scores its 4000 x ~100 innocent bits a block of at most
+        # 2^16 bits at a time, so what grows with the trials is the scores.
         params = make_params(m=200, Z=20.0)
 
         def peak(trials):
@@ -352,3 +363,22 @@ class TestMemory:
         assert 40 * 4000 > _KS_CHUNK
         small, large = peak(40), peak(80)
         assert (large - small) / (40 * 4000) <= 16.0
+
+    def test_trial_working_set_stays_under_2_mb(self):
+        # Criterion 07's shape. Drawn as one 1000 x ~1219 matrix with its
+        # float64 copy, a trial's innocent bits peaked at 17.5 MB.
+        c0, t = 6, default_cutoff(6)
+        plan = conservative_plan(c0, c0 * t, 0.01, 0.25)
+        params = SchemeParams(n=1000, m=plan.m, c0=c0, eps1=0.01, eps2=0.25, t=t, Z=plan.Z)
+        cfg = SimConfig(params=params, strategy="extremal", c=c0, trials=2,
+                        innocents_per_trial=1000, seed=7)
+        dist = BiasDistribution(kind=ARCSINE, t=t)
+        simulate._trial(cfg, dist, 0)  # warm caches
+        tracemalloc.start()
+        try:
+            simulate._trial(cfg, dist, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.m == 2438
+        assert peak < 2 * 2 ** 20

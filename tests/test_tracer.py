@@ -15,9 +15,11 @@ from tardos import (
     gen_matrix,
     row_bits,
     sample_bias,
+    save_codebook,
     score_user,
     trace,
 )
+from tardos import tracer
 
 
 class TestPirateCopy:
@@ -193,6 +195,49 @@ class TestTrace:
             assert int(uid) == j
             assert float(score) == rep.scores[j]  # repr round-trip is exact
             assert (flag == "1") == (j in rep.accused_set())
+
+
+class TestScoreBlocks:
+    @pytest.mark.parametrize("n", [1, 3, 4, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("width", [0, 300])
+    def test_block_size_does_not_change_a_bit(self, monkeypatch, n, width):
+        # A row's score depends on its place in a group of 4 rows, so blocks
+        # must hold whole groups: 6 * width bits is one group, not 6 rows.
+        # A last row scored alone would take another BLAS path (n = 65).
+        g = np.random.default_rng(n * 1000 + width)
+        bits = g.random((n, width)) < 0.3
+        w = g.standard_normal(width)
+        results = []
+        for limit in (4 * width, 6 * width, 64 * width, 1 << 16):
+            monkeypatch.setattr(tracer, "_BLOCK_BITS", limit)
+            calls = []
+
+            def block(lo, hi):
+                calls.append((lo, hi))
+                return bits[lo:hi]
+
+            results.append(tracer._score_blocks(block, n, w, 1.5).tobytes())
+            assert calls[0][0] == 0 and calls[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))  # serial, in order
+            assert all((hi - lo) % 4 == 0 and (hi - lo) * width <= max(limit, 4 * width)
+                       for lo, hi in calls[:-1])
+            assert calls[-1][1] - calls[-1][0] >= min(n, 4)  # no lone last row
+        assert all(r == results[0] for r in results)
+        if width == 0:
+            assert np.all(np.frombuffer(results[0]) == 1.5)
+
+    def test_trace_scores_do_not_depend_on_blas_threads(self, tmp_path, cli_at_blas_threads):
+        # Unblocked, 997 rows of 8038 columns end in a product that OpenBLAS
+        # splits over two threads at a row that is not a multiple of 4.
+        bias = sample_bias(8038, 0.002, seed=4)
+        save_codebook(gen_matrix(997, bias, seed=4), tmp_path / "cb.bin")
+        y = (np.random.default_rng(5).random(8038) < 0.5).astype(np.uint8)
+        (tmp_path / "y.txt").write_text(PirateCopy(bits=y).to_text())
+        argv = ["trace", "--codebook", str(tmp_path / "cb.bin"),
+                "--pirate", str(tmp_path / "y.txt"), "--threshold", "10", "--out", "-"]
+        one = cli_at_blas_threads(argv, 1)
+        assert one.count("\n") == 998
+        assert cli_at_blas_threads(argv, 2) == one
 
 
 class TestinnocentScoreDistribution:

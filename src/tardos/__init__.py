@@ -15,8 +15,9 @@ from .bounds import (ClosedFormInputs, ClosedFormOutputs, ConditionCheck,
                      WindowResult, check_general_condition,
                      check_tardos_condition, closed_form_params,
                      emit_search_table, length_window, search_min_A)
-from .codegen import (BiasVector, Codebook, crc64, gen_matrix, load_codebook,
-                      row_bits, sample_bias, save_codebook)
+from .codegen import (BiasVector, Codebook, CodebookFile, crc64, gen_matrix,
+                      generate_codebook, load_codebook, row_bits, sample_bias,
+                      save_codebook)
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError,
                      EmptyWindowError, InfeasibleError, ParameterError,
@@ -38,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARCSINE", "BETA", "AccusationReport", "BiasDistribution", "BiasVector",
     "CapacityError", "CltReport", "ClosedFormInputs", "ClosedFormOutputs",
-    "Codebook", "CodebookChecksumError", "CodebookFormatError",
+    "Codebook", "CodebookChecksumError", "CodebookFile", "CodebookFormatError",
     "CodebookTruncatedError", "CodebookVersionError", "ConditionCheck",
     "DerivedConstants", "EmptyWindowError", "GaussianPlan",
     "GeneralConditionInputs", "Histogram", "HistogramBundle",
@@ -49,7 +50,7 @@ __all__ = [
     "check_tardos_condition", "closed_form_params", "clt_report",
     "coalition_score", "conservative_plan", "crc64", "default_cutoff",
     "emit_search_table", "erfc", "erfc_inv", "expectation", "forge",
-    "format_report", "g0", "g1", "gen_matrix", "length_window",
+    "format_report", "g0", "g1", "gen_matrix", "generate_codebook", "length_window",
     "load_codebook", "log_erfc", "m_min", "moments", "normal_cdf", "nu",
     "row_bits", "run", "sample_bias", "save_codebook", "score_histograms",
     "score_user", "search_min_A", "strategy_psi", "tprime", "trace",

@@ -55,18 +55,19 @@ def _seed(text):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _int_list(text):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _list_of(item, kind):
+    """Parser of a comma-separated list, each entry parsed by ``item``."""
+    def parse(text):
+        try:
+            return [item(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind} list {text!r}") from exc
+    return parse
 
 
-def _float_list(text):
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+_int_list = _list_of(int, "integer")
+_c0_list = _list_of(_c0, "integer")  # each entry within the --c0 bound
+_float_list = _list_of(float, "number")
 
 
 @contextmanager
@@ -127,10 +128,9 @@ def cmd_generate(args):
         log.info("plan: m=%d Z in [%r, %r]", plan.m, plan.Z_low, plan.Z_high)
     codegen._check_capacity(args.users, m)  # before the bias vector is drawn
     bias = codegen.sample_bias(m, t, args.seed)
-    cb = codegen.gen_matrix(args.users, bias, args.seed, params=params,
-                            threads=args.threads)
-    codegen.save_codebook(cb, args.out)
-    log.info("wrote codebook: n=%d m=%d -> %s", cb.n, cb.m, args.out)
+    codegen.generate_codebook(args.out, args.users, bias, args.seed, params=params,
+                              threads=args.threads)
+    log.info("wrote codebook: n=%d m=%d -> %s", args.users, m, args.out)
     return 0
 
 
@@ -143,16 +143,18 @@ def _strategy(args):
 
 
 def cmd_attack(args):
-    cb = codegen.load_codebook(args.codebook)
-    users = args.users
-    if not users:
-        raise ParameterError("coalition user list is empty")
-    if len(set(users)) != len(users):
-        raise ParameterError("coalition user list has duplicates")
-    for j in users:
-        if not 0 <= j < cb.n:
-            raise ParameterError(f"user {j} outside 0..{cb.n - 1}")
-    y = forge(cb.select_bits(users), _strategy(args), seed=args.seed)
+    # The codebook is read in chunks; a corrupt one fails before any output.
+    with codegen.CodebookFile(args.codebook) as cb:
+        users = args.users
+        if not users:
+            raise ParameterError("coalition user list is empty")
+        if len(set(users)) != len(users):
+            raise ParameterError("coalition user list has duplicates")
+        for j in users:
+            if not 0 <= j < cb.n:
+                raise ParameterError(f"user {j} outside 0..{cb.n - 1}")
+        rows = cb.select_bits(users)
+    y = forge(rows, _strategy(args), seed=args.seed)
     with _out_stream(args.out) as fh:
         fh.write(y.to_text() + "\n")
     log.info("forged %d-column copy from %d users -> %s", y.m, len(users), args.out)
@@ -160,17 +162,19 @@ def cmd_attack(args):
 
 
 def cmd_trace(args):
-    cb = codegen.load_codebook(args.codebook)
-    with open(args.pirate, "r", encoding="utf-8") as fh:
-        y = tracer.PirateCopy.from_text(fh.read())
-    Z = args.threshold
-    if Z is None:
-        if cb.params is not None and cb.params.Z is not None:
-            Z = cb.params.Z
-        else:
-            raise ParameterError(
-                "--threshold is required when the codebook carries none")
-    report = tracer.trace(cb, y, Z)
+    # The codebook is read and scored in chunks; a corrupt one fails before
+    # any output.
+    with codegen.CodebookFile(args.codebook) as cb:
+        with open(args.pirate, "r", encoding="utf-8") as fh:
+            y = tracer.PirateCopy.from_text(fh.read())
+        Z = args.threshold
+        if Z is None:
+            if cb.params is not None and cb.params.Z is not None:
+                Z = cb.params.Z
+            else:
+                raise ParameterError(
+                    "--threshold is required when the codebook carries none")
+        report = tracer.trace(cb, y, Z)
     with _out_stream(args.out) as fh:
         report.to_csv(fh)
     log.info("traced %d users at Z=%r: %d accused", cb.n, Z,
@@ -343,7 +347,7 @@ def build_parser():
     s.set_defaults(func=cmd_search)
 
     tb = subs.add_parser("table", help="search over a grid of (ratio, c0) cells")
-    tb.add_argument("--c0-list", type=_int_list, required=True)
+    tb.add_argument("--c0-list", type=_c0_list, required=True)
     tb.add_argument("--ratio-list", type=_float_list, required=True)
     tb.add_argument("--iterations", type=_positive_int, required=True)
     tb.add_argument("--eps1", type=float, default=1e-10)

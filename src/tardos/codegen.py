@@ -19,8 +19,15 @@ File format (all integers little-endian):
     packed row-major bits (64 per word, little-endian bit order) | u64 CRC-64
 
 The trailing checksum is CRC-64/XZ over every preceding byte.
+
+One writer (:func:`_write_codebook`) and one reader (:class:`CodebookFile`)
+handle the format. The writer takes the rows as a sequence of chunks, and the
+reader yields them in chunks of whole 4-row groups of about
+:data:`_CHUNK_BYTES`, so :func:`generate_codebook` and the CLI's ``attack``
+and ``trace`` hold one chunk of rows at a time, not the whole matrix.
 """
 
+import functools
 import os
 import secrets
 import struct
@@ -31,7 +38,8 @@ import numpy as np
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError, ParameterError)
 from .model import _SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams
-from .rng import TAG_BIAS, TAG_ROW, _stream_range, bernoulli, fan_out, stream, thresholds
+from .rng import (TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
+                  stream, thresholds)
 
 MAGIC = b"TRDC"
 VERSION = 1
@@ -39,6 +47,12 @@ VERSION = 1
 # Rows keyed by one :func:`rng.keys` call and drawn by one re-keyed Philox;
 # each row is packed as it is drawn, so a worker holds one row at a time.
 _BLOCK_ROWS = 64
+
+# Rows per chunk of a streamed codebook file, read or written: about this many
+# bytes, in whole groups (4-row groups when read, _BLOCK_ROWS blocks when
+# generated). The pipeline at n = 10^4 took the same time with 1, 2 and 4 MiB
+# chunks on a 2-CPU x86-64 host; smaller chunks hold less.
+_CHUNK_BYTES = 1 << 20
 
 # Default memory budget for a single codebook: 2^33 bits = 1 GiB, counting the
 # packed matrix and the 64-bit bias of every column.
@@ -57,9 +71,13 @@ DEFAULT_MAX_BITS = 1 << 33
 # the body is cut into K equal lanes; numpy advances all K registers together,
 # one word per step (the initial value goes into lane 0); then adjacent lanes
 # are folded pairwise with the operator that appends one lane's worth of zero
-# bytes, whose table is built by squaring the 8-byte step table. Remainder
-# words and the last < 8 bytes, and inputs too short for lanes to pay, take
-# the scalar loop. The bytewise oracle the tests compare against lives in
+# bytes, whose table is built by squaring the 8-byte step table. Zero
+# registers in front pad K to a power of two for the fold; they add nothing.
+# The lane length is the fewest steps that fit the body in _MAX_LANES lanes,
+# so fewer than that many words are left over. Those words, the last < 8
+# bytes, and inputs too short for lanes to pay take the scalar loop. The fold
+# operators depend only on (steps, K), so the row chunks of a streamed file
+# build them once. The bytewise oracle the tests compare against lives in
 # tests/test_codegen.py.
 
 _CRC_POLY_REFLECTED = 0xC96C5795D7870F42
@@ -84,10 +102,10 @@ _CRC_TABLES = _crc_tables()
 # The 8-byte step as an operator table: row k is indexed by byte k of v.
 _CRC_STEP = np.array(_CRC_TABLES[::-1], dtype="<u8")
 
-# Lane count: a power of two, at most _MAX_LANES, with every lane at least
-# _LANE_WORDS words long. Below _MIN_LANES lanes (inputs under 8 KiB) the
-# lane path's fixed cost (fold tables, fold) and its numpy calls per step
-# outweigh the scalar loop.
+# Lane count: at most _MAX_LANES, with every lane at least _LANE_WORDS words
+# long. Below _MIN_LANES lanes (inputs under 8 KiB) the lane path's fixed
+# cost (fold tables, fold) and its numpy calls per step outweigh the scalar
+# loop.
 _MAX_LANES = 4096
 _MIN_LANES = 128
 _LANE_WORDS = 8
@@ -115,22 +133,37 @@ def _zeros_op(words):
         square = _zeros_apply(square, square)
 
 
+# Two entries: a file's full row chunks share one, and each entry is up to
+# 12 tables of 16 KiB.
+@functools.lru_cache(maxsize=2)
+def _fold_ops(steps, width):
+    """Operators of the pairwise fold of ``width`` (a power of two) lanes of
+    ``steps`` words, one per level, read-only."""
+    ops = [_zeros_op(steps)]
+    while len(ops) < width.bit_length() - 1:
+        ops.append(_zeros_apply(ops[-1], ops[-1]))
+    for op in ops:
+        op.setflags(write=False)
+    return tuple(ops[:width.bit_length() - 1])
+
+
 def _lane_count(words):
+    """Lanes for an input of ``words`` whole words; 0 means the scalar loop."""
     lanes = min(_MAX_LANES, words // _LANE_WORDS)
-    return 1 << (lanes.bit_length() - 1) if lanes >= _MIN_LANES else 0
+    return lanes if lanes >= _MIN_LANES else 0
 
 
 def _crc_lanes(state, buf, lanes, steps):
     """Raw register after reading ``lanes * steps`` words of ``buf`` from ``state``."""
     words = np.frombuffer(buf, dtype="<u8", count=lanes * steps).reshape(lanes, steps)
+    width = 1 << (lanes - 1).bit_length()
     regs = np.zeros(lanes, dtype="<u8")
     regs[0] = state
     for j in range(steps):
         regs = _zeros_apply(_CRC_STEP, regs ^ words[:, j])
-    op = _zeros_op(steps)
-    while regs.size > 1:
+    regs = np.concatenate([np.zeros(width - lanes, dtype="<u8"), regs])
+    for op in _fold_ops(steps, width):
         regs = _zeros_apply(op, regs[0::2]) ^ regs[1::2]
-        op = _zeros_apply(op, op)
     return int(regs[0])
 
 
@@ -141,10 +174,12 @@ def crc64(data, crc=0):
     except TypeError:  # not a contiguous buffer, e.g. an iterable of ints
         buf = memoryview(bytes(data))
     state = (crc ^ _CRC_MASK) & _CRC_MASK
-    lanes = _lane_count(len(buf) // 8)
+    words = len(buf) // 8
+    lanes = _lane_count(words)
     done = 0
     if lanes:
-        steps = len(buf) // 8 // lanes
+        steps = -(-words // lanes)
+        lanes = words // steps
         state = _crc_lanes(state, buf, lanes, steps)
         done = 8 * lanes * steps
     t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
@@ -203,6 +238,37 @@ def _words_per_row(m):
     return (m + 63) // 64
 
 
+def _row_spans(n, rows):
+    """(lo, hi) spans of rows 0..n-1 in whole groups of ``rows`` rows, the last
+    running to n and keeping at least 4 rows when n >= 4 (see
+    :func:`tracer._score_blocks`, which takes rows by the same rule)."""
+    stops = range(rows, n - 3, rows)
+    return zip([0, *stops], [*stops, n])
+
+
+def _unpack(packed, m):
+    """Packed rows as a (rows, m) uint8 bit array."""
+    return np.unpackbits(packed.view(np.uint8), axis=1, count=m, bitorder="little")
+
+
+def _select(cb, indices):
+    """Unpacked rows of ``cb`` for an index list, in the given order, picked
+    from its chunks in one pass."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= cb.n):
+        raise ParameterError("user index out of range")
+    picked = np.empty((idx.size, _words_per_row(cb.m)), dtype="<u8")
+    for lo, rows in cb.chunks():
+        hit = (idx >= lo) & (idx < lo + len(rows))
+        picked[hit] = rows[idx[hit] - lo]
+    return _unpack(picked, cb.m)
+
+
+def _check_dims(params, n, m):
+    if params is not None and (params.n != n or params.m != m):
+        raise ParameterError("codebook dimensions disagree with params")
+
+
 def row_bits(bias, seed, j):
     """Regenerate row ``j`` alone: Bernoulli(p_i) from stream (seed, row tag, j)."""
     gen = next(_stream_range(seed, TAG_ROW, j, j + 1))
@@ -226,9 +292,7 @@ class Codebook:
         object.__setattr__(self, "rows", arr)
         if arr.shape[1] != _words_per_row(self.bias.m):
             raise ParameterError("packed row width disagrees with bias length")
-        if self.params is not None:
-            if self.params.n != arr.shape[0] or self.params.m != self.bias.m:
-                raise ParameterError("codebook dimensions disagree with params")
+        _check_dims(self.params, arr.shape[0], self.bias.m)
 
     @property
     def n(self):
@@ -238,21 +302,20 @@ class Codebook:
     def m(self):
         return self.bias.m
 
+    def chunks(self):
+        """Yield ``(0, rows)``: the packed rows as one chunk (see :meth:`CodebookFile.chunks`)."""
+        yield 0, self.rows
+
     def block_bits(self, lo, hi):
         """Unpacked rows lo..hi-1 as a (hi-lo, m) uint8 array."""
-        raw = self.rows[lo:hi].view(np.uint8)
-        return np.unpackbits(raw, axis=1, count=self.m, bitorder="little")
+        return _unpack(self.rows[lo:hi], self.m)
 
     def row(self, j):
         return self.block_bits(j, j + 1)[0]
 
     def select_bits(self, indices):
         """Unpacked rows for an arbitrary index list, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ParameterError("user index out of range")
-        raw = self.rows[idx].view(np.uint8)
-        return np.unpackbits(raw, axis=1, count=self.m, bitorder="little")
+        return _select(self, indices)
 
 
 def _check_capacity(n, m, max_bits=DEFAULT_MAX_BITS):
@@ -264,11 +327,13 @@ def _check_capacity(n, m, max_bits=DEFAULT_MAX_BITS):
                             f"exceeds the budget of {max_bits} bits")
 
 
-def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS):
+def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS, first=0):
     """Generate the n x m codeword matrix over ``bias``, packed 64 bits/word.
 
     Entry (j, i) is an independent Bernoulli(bias.p[i]) draw taken from row
-    stream j, so the result is identical for every ``threads`` value.
+    stream j, so the result is identical for every ``threads`` value. With
+    ``first`` the rows are those of users ``first .. first+n-1`` of a larger
+    code, the slices in which :func:`generate_codebook` writes one.
     """
     _check_capacity(n, bias.m, max_bits)
     rows = np.zeros((n, _words_per_row(bias.m)), dtype="<u8")
@@ -277,29 +342,45 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS)
 
     def pack(b):
         lo, hi = b * _BLOCK_ROWS, min(n, (b + 1) * _BLOCK_ROWS)
-        for j, gen in enumerate(_stream_range(seed, TAG_ROW, lo, hi), lo):
+        for j, gen in enumerate(_stream_range(seed, TAG_ROW, first + lo, first + hi), lo):
             octets[j, :width] = np.packbits(bernoulli(gen, thr, bias.m), bitorder="little")
 
     fan_out(pack, -(-n // _BLOCK_ROWS), threads)
     return Codebook(bias=bias, rows=rows, seed=int(seed), params=params)
 
 
+def generate_codebook(path, n, bias, seed, params=None, threads=1):
+    """Generate an n-user codebook over ``bias`` straight into the file ``path``.
+
+    The file is byte for byte ``save_codebook(gen_matrix(n, bias, seed,
+    params, threads), path)``, but the rows are drawn and written in slices
+    of whole :data:`_BLOCK_ROWS` blocks of about :data:`_CHUNK_BYTES`, so
+    memory does not grow with n. The budget of :func:`gen_matrix` still
+    applies to the whole code.
+    """
+    seed = check_seed(seed)
+    _check_capacity(n, bias.m)
+    step = _BLOCK_ROWS * max(1, _CHUNK_BYTES // (8 * _BLOCK_ROWS * _words_per_row(bias.m)))
+    slices = (gen_matrix(min(step, n - lo), bias, seed, threads=threads, first=lo).rows
+              for lo in range(0, n, step))
+    _write_codebook(path, seed, params, bias, n, slices)
+
+
 def save_codebook(cb, path):
     """Write ``cb`` to ``path`` in the versioned binary format."""
-    params_blob = cb.params.kv_text().encode("utf-8") if cb.params is not None else b""
-    parts = [
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<Q", cb.seed),
-        struct.pack("<I", len(params_blob)),
-        params_blob,
-        struct.pack("<Q", cb.m),
-        cb.bias.p.astype("<f8").tobytes(),
-        struct.pack("<Q", cb.n),
-        struct.pack("<I", cb.rows.shape[1]),
-        # The rows are written and checksummed in place, without a copy.
-        memoryview(np.ascontiguousarray(cb.rows)),
-    ]
+    _write_codebook(path, cb.seed, cb.params, cb.bias, cb.n, [cb.rows])
+
+
+def _write_codebook(path, seed, params, bias, n, chunks):
+    """Write the header, the packed row ``chunks`` (n rows in all, in order)
+    and the CRC-64 of both to ``path``.
+
+    Each chunk is written and checksummed in place, without a copy.
+    """
+    params_blob = params.kv_text().encode("utf-8") if params is not None else b""
+    head = b"".join([MAGIC, struct.pack("<IQI", VERSION, seed, len(params_blob)), params_blob,
+                     struct.pack("<Q", bias.m), bias.p.astype("<f8").tobytes(),
+                     struct.pack("<QI", n, _words_per_row(bias.m))])
     # Write beside the target and rename over it, so a failed save leaves the
     # previous file intact. Mode "x" creates the file with the permissions a
     # plain open(path, "wb") would give it.
@@ -307,10 +388,16 @@ def save_codebook(cb, path):
     fh = open(tmp, "xb")
     try:
         with fh:
-            crc = 0
-            for part in parts:
+            fh.write(head)
+            crc, written = crc64(head), 0
+            for chunk in chunks:
+                part = memoryview(np.ascontiguousarray(chunk))
                 fh.write(part)
                 crc = crc64(part, crc)
+                written += len(chunk)
+                del chunk, part  # before the next chunk is made
+            if written != n:
+                raise ParameterError(f"{written} rows written, the header says {n}")
             fh.write(struct.pack("<Q", crc))
         os.replace(tmp, path)
     except BaseException:
@@ -319,16 +406,28 @@ def save_codebook(cb, path):
 
 
 class _Cursor:
-    def __init__(self, buf):
-        self.buf = memoryview(buf)
+    """Reads a file front to back, chaining CRC-64 over what it reads."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
+        self.crc = 0
+
+    def fill(self, buf, what):
+        """Read into the writable buffer ``buf`` and return it."""
+        view = memoryview(buf)
+        view = view.cast("B") if view.nbytes else memoryview(bytearray())  # no 0-row cast
+        if self.off + len(view) > self.size or self.fh.readinto(view) != len(view):
+            raise CodebookTruncatedError(f"file ends inside {what}")
+        self.off += len(view)
+        self.crc = crc64(view, self.crc)
+        return buf
 
     def take(self, k, what):
-        if self.off + k > len(self.buf):
+        if self.off + k > self.size:  # before a bytearray of a corrupt length
             raise CodebookTruncatedError(f"file ends inside {what}")
-        out = self.buf[self.off:self.off + k]
-        self.off += k
-        return out
+        return self.fill(bytearray(k), what)
 
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
@@ -337,38 +436,117 @@ class _Cursor:
         return struct.unpack("<Q", self.take(8, what))[0]
 
 
-def load_codebook(path):
-    """Read a codebook written by :func:`save_codebook`, verifying the checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    cur = _Cursor(blob)
-    if cur.take(4, "magic") != MAGIC:
-        raise CodebookFormatError("not a codebook file (bad magic)")
-    version = cur.u32("version")
-    if version != VERSION:
-        raise CodebookVersionError(f"unsupported codebook version {version}")
-    seed = cur.u64("seed")
-    params_blob = cur.take(cur.u32("params length"), "params block")
-    m = cur.u64("bias length")
-    bias_raw = cur.take(8 * m, "bias block")
-    n = cur.u64("row count")
-    words = cur.u32("words per row")
-    matrix_raw = cur.take(8 * n * words, "bit matrix")
-    stored_crc = cur.u64("checksum")
-    if cur.off != len(blob):
-        raise CodebookFormatError("trailing bytes after checksum")
-    if crc64(cur.buf[:cur.off - 8]) != stored_crc:
-        raise CodebookChecksumError("checksum mismatch: file is corrupt")
+class CodebookFile:
+    """A codebook file opened for reading its rows in chunks.
 
-    params = (SchemeParams.from_kv_text(str(params_blob, "utf-8"))
-              if params_blob else None)
-    p = np.frombuffer(bias_raw, dtype="<f8").copy()
-    if words != _words_per_row(m):
-        raise CodebookFormatError("words per row disagrees with bias length")
-    # The rows view the file's bytes read-only, without a copy.
-    rows = np.frombuffer(matrix_raw, dtype="<u8").reshape(n, words)
-    t = params.t if params is not None else _infer_cutoff(p)
-    return Codebook(bias=BiasVector(p=p, t=t), rows=rows, seed=seed, params=params)
+    Opening parses the header and checks the file's size against it, so a
+    truncated file or trailing bytes fail before any row is read. ``bias``,
+    ``seed``, ``params``, ``n`` and ``m`` are those of the codebook;
+    :meth:`chunks` yields its rows. Use it as a context manager: a
+    ``ValueError`` (such as a ``ParameterError``) raised in the header's
+    fields or inside the ``with`` block is reported only after the whole
+    file's checksum holds, and a :class:`CodebookChecksumError` otherwise,
+    so a corrupt file always fails as one.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._open()
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)
+            raise
+
+    def _open(self):
+        cur = self._cur = _Cursor(self._fh)
+        if cur.take(4, "magic") != MAGIC:
+            raise CodebookFormatError("not a codebook file (bad magic)")
+        version = cur.u32("version")
+        if version != VERSION:
+            raise CodebookVersionError(f"unsupported codebook version {version}")
+        self.seed = cur.u64("seed")
+        params_blob = cur.take(cur.u32("params length"), "params block")
+        m = cur.u64("bias length")
+        bias_raw = cur.take(8 * m, "bias block")
+        self.n = cur.u64("row count")
+        self.words = cur.u32("words per row")
+        self._rows_at, self._head_crc = cur.off, cur.crc
+        end = cur.off + 8 * self.n * self.words
+        if cur.size < end:
+            raise CodebookTruncatedError("file ends inside bit matrix")
+        if cur.size < end + 8:
+            raise CodebookTruncatedError("file ends inside checksum")
+        if cur.size > end + 8:
+            raise CodebookFormatError("trailing bytes after checksum")
+        if self.words != _words_per_row(m):
+            raise CodebookFormatError("words per row disagrees with bias length")
+        self.params = (SchemeParams.from_kv_text(str(params_blob, "utf-8"))
+                       if params_blob else None)
+        p = np.frombuffer(bias_raw, dtype="<f8")
+        t = self.params.t if self.params is not None else _infer_cutoff(p)
+        self.bias = BiasVector(p=p, t=t)
+        _check_dims(self.params, self.n, m)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        try:
+            if isinstance(exc, ValueError):
+                self.verify()
+        finally:
+            self._fh.close()
+
+    @property
+    def m(self):
+        return self.bias.m
+
+    def chunks(self, out=None):
+        """Yield ``(lo, rows)``: the packed rows lo..lo+len(rows)-1, front to back.
+
+        The rows come in chunks of whole 4-row groups of about
+        :data:`_CHUNK_BYTES`, read into one buffer that the next chunk
+        overwrites; the last chunk runs to row n and keeps at least 4 rows.
+        With ``out`` (an (n, words) array) all rows are read into it as one
+        chunk. The checksum is verified before the last chunk is yielded, so
+        a consumer that has seen every chunk has read a sound file. Each call
+        reads the rows again; take one pass at a time.
+        """
+        cur = self._cur
+        self._fh.seek(self._rows_at)
+        cur.off, cur.crc = self._rows_at, self._head_crc
+        if out is None:
+            step = 4 * max(1, _CHUNK_BYTES // (32 * max(self.words, 1)))
+            out = np.empty((min(step + 3, self.n), self.words), dtype="<u8")
+        else:
+            step = max(self.n, 1)
+        spans = list(_row_spans(self.n, step))
+        for i, (lo, hi) in enumerate(spans, 1):
+            rows = cur.fill(out[:hi - lo], "bit matrix")
+            if i == len(spans) and self._fh.read(8) != struct.pack("<Q", cur.crc):
+                raise CodebookChecksumError("checksum mismatch: file is corrupt")
+            yield lo, rows
+
+    def verify(self):
+        """Read every row; raise :class:`CodebookChecksumError` if the file is corrupt."""
+        for _ in self.chunks():
+            pass
+
+    def select_bits(self, indices):
+        """Unpacked rows for an arbitrary index list, in the given order, in one pass."""
+        return _select(self, indices)
+
+
+def load_codebook(path):
+    """Read a codebook written by :func:`save_codebook`, verifying the checksum.
+
+    The rows are read straight into the codebook's array, without a copy.
+    """
+    with CodebookFile(path) as f:
+        rows = np.empty((f.n, f.words), dtype="<u8")
+        for _ in f.chunks(rows):
+            pass
+    return Codebook(bias=f.bias, rows=rows, seed=f.seed, params=f.params)
 
 
 def _infer_cutoff(p):

@@ -17,12 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import _row_spans, _unpack
 from .errors import ParameterError
 from .model import g0, g1
 
 # Bits per scoring block: 512 KiB as float64, and a matrix-vector product
 # far below the size at which OpenBLAS splits it over threads.
 _BLOCK_BITS = 1 << 16
+
+# Columns per piece of a 1-d product. numpy computes one with BLAS ddot, which
+# OpenBLAS splits over threads above 10^4 elements.
+_DOT_COLUMNS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,18 @@ def _score_blocks(block, n, w, base):
     over threads, so the scores do not depend on the BLAS thread count.
     """
     rows = 4 * max(1, _BLOCK_BITS // (4 * max(w.size, 1)))
-    stops = range(rows, n - 3, rows)  # the last block keeps at least 4 rows
     scores = np.empty(n, dtype=np.float64)
-    for lo, hi in zip([0, *stops], [*stops, n]):
+    for lo, hi in _row_spans(n, rows):
         scores[lo:hi] = block(lo, hi).astype(np.float64) @ w + base
     return scores
+
+
+def _dot(x, w):
+    """``x @ w`` as the in-order sum of its pieces of :data:`_DOT_COLUMNS`
+    columns, so the float does not depend on the BLAS thread count; up to
+    that many columns it is the one product."""
+    return sum((float(x[i:i + _DOT_COLUMNS] @ w[i:i + _DOT_COLUMNS])
+                for i in range(0, w.size, _DOT_COLUMNS)), 0.0)
 
 
 def score_user(row, y, bias):
@@ -104,7 +116,7 @@ def score_user(row, y, bias):
     if r.size != bias.m:
         raise ParameterError("row length disagrees with bias length")
     mask, w, base = _score_pieces(y, bias.p)
-    return base + float(r[mask].astype(np.float64) @ w)
+    return base + _dot(r[mask].astype(np.float64), w)
 
 
 def coalition_score(rows, y, bias):
@@ -116,7 +128,7 @@ def coalition_score(rows, y, bias):
         raise ParameterError("row length disagrees with bias length")
     mask, w, base = _score_pieces(y, bias.p)
     x = r[:, mask].sum(axis=0, dtype=np.int64)
-    return float(x @ w) + r.shape[0] * base
+    return _dot(x, w) + r.shape[0] * base
 
 
 @dataclass(frozen=True)
@@ -142,11 +154,14 @@ class AccusationReport:
 def trace(cb, y, Z, threads=1, coalition=None):
     """Score every user of codebook ``cb`` against ``y`` and apply threshold Z.
 
-    Unpacks and scores the 64-bit packed rows serially, one block of whole
-    4-row groups at a time (:func:`_score_blocks`), so every score is the
-    same float for any BLAS thread count. A thread fan-out over the blocks
-    ran slower than one thread, so ``threads`` is kept for API compatibility
-    and is not used.
+    ``cb`` is a :class:`~tardos.codegen.Codebook` or an open
+    :class:`~tardos.codegen.CodebookFile`, whose rows are read and scored
+    one chunk at a time. Unpacks and scores the 64-bit packed rows serially,
+    one block of whole 4-row groups at a time (:func:`_score_blocks`); chunks
+    end on 4-row groups too, so every score is the same float for any chunk
+    size and any BLAS thread count. A thread fan-out over the blocks ran
+    slower than one thread, so ``threads`` is kept for API compatibility and
+    is not used.
     When ``coalition`` (user indices) is given, the report carries their
     collective sum as well.
     """
@@ -156,7 +171,10 @@ def trace(cb, y, Z, threads=1, coalition=None):
     mask, w, base = _score_pieces(y, p)
     wfull = np.zeros(p.size, dtype=np.float64)
     wfull[mask] = w
-    scores = _score_blocks(cb.block_bits, cb.n, wfull, base)
+    scores = np.empty(cb.n, dtype=np.float64)
+    for lo, rows in cb.chunks():
+        scores[lo:lo + len(rows)] = _score_blocks(
+            lambda a, b: _unpack(rows[a:b], p.size), len(rows), wfull, base)
     accused = np.flatnonzero(scores > Z).astype(np.int64)
     cscore = None
     if coalition is not None:

@@ -50,22 +50,29 @@ def run_cli():
     return _run
 
 
-@pytest.fixture
-def cli_at_blas_threads():
-    """Run ``python -m tardos`` in a child process with ``OPENBLAS_NUM_THREADS`` set.
+def _python_at_blas_threads(args, threads):
+    """Run ``python *args`` in a child process with ``OPENBLAS_NUM_THREADS`` set.
 
     OpenBLAS reads its thread count once, when it loads, so only a new process
     can change it. The variable is set in the child's environment alone.
     Returns the child's stdout; a nonzero exit fails the test.
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
 
-    def _run(argv, threads):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
-        return subprocess.run([sys.executable, "-m", "tardos", *argv], env=env, check=True,
-                              capture_output=True, text=True, timeout=300).stdout
 
-    return _run
+@pytest.fixture
+def cli_at_blas_threads():
+    """Run ``python -m tardos argv`` at a BLAS thread count; see above."""
+    return lambda argv, threads: _python_at_blas_threads(["-m", "tardos", *argv], threads)
+
+
+@pytest.fixture
+def python_at_blas_threads():
+    """Run ``python -c code`` at a BLAS thread count; see above."""
+    return lambda code, threads: _python_at_blas_threads(["-c", code], threads)
 
 
 def binomial_se(p, n):

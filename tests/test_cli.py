@@ -468,6 +468,8 @@ class TestExitCodes:
           "--eps2", ".3"], "c0 is too large"),
         (["simulate", "--c0", str(10 ** 153), "--coalition", "5", "--eps1", ".1",
           "--eps2", ".3", "--trials", "1"], "budget"),
+        (["table", "--c0-list", f"3,{10 ** 400}", "--ratio-list", ".1", "--iterations", "10"],
+         "--c0-list"),
     ])
     def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
         out = tmp_path / "unused.bin"

@@ -240,6 +240,39 @@ class TestScoreBlocks:
         assert cli_at_blas_threads(argv, 2) == one
 
 
+class TestDot:
+    @pytest.mark.parametrize("size", [0, 1, 4097, tracer._DOT_COLUMNS])
+    def test_one_piece_is_the_one_product(self, size):
+        g = np.random.default_rng(size)
+        x, w = g.random(size), g.standard_normal(size)
+        assert tracer._dot(x, w) == float(x @ w)
+
+    def test_wide_products_sum_fixed_pieces_in_order(self):
+        g = np.random.default_rng(3)
+        k = tracer._DOT_COLUMNS
+        x, w = g.integers(0, 3, 2 * k + 5), g.standard_normal(2 * k + 5)
+        pieces = [float(x[i:i + k] @ w[i:i + k]) for i in (0, k, 2 * k)]
+        assert tracer._dot(x, w) == (pieces[0] + pieces[1]) + pieces[2]
+
+    def test_user_and_coalition_scores_do_not_depend_on_blas_threads(
+            self, python_at_blas_threads):
+        # One 1-d product of 20k-100k columns goes to BLAS ddot, which
+        # OpenBLAS splits over threads; the last digits then differ.
+        code = """
+import numpy as np
+from tardos import BiasVector, coalition_score, score_user
+for m in (20_000, 50_000, 100_000):
+    g = np.random.default_rng(m)
+    bias = BiasVector(p=g.uniform(0.01, 0.99, m), t=0.01)
+    rows = (g.random((3, m)) < bias.p).astype(np.uint8)
+    y = np.ones(m, dtype=np.uint8)
+    print(repr(score_user(rows[0], y, bias)), repr(coalition_score(rows, y, bias)))
+"""
+        one = python_at_blas_threads(code, 1)
+        assert one.count("\n") == 3
+        assert python_at_blas_threads(code, 2) == one
+
+
 class TestinnocentScoreDistribution:
     def test_variance_equals_number_of_ones(self):
         # For the standard weights, an innocent row's score has mean 0 and

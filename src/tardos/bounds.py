@@ -42,11 +42,14 @@ def _ratio(eps1, eps2):
 
 
 def eps2_for_ratio(eps1, R):
-    """The eps2 with ln(eps2)/ln(eps1) = R, for eps1 in (0, 1) and R > 0."""
+    """The eps2 with ln(eps2)/ln(eps1) = R, for eps1 in (0, 1) and an R > 0 that
+    keeps eps2 = eps1^R in (0, 1) as a float (it can fall to 0 or round to 1)."""
     _check_rate("eps1", eps1)
-    if not R > 0.0:
-        raise ParameterError("ratio R = ln(eps2)/ln(eps1) must be positive")
-    return math.exp(R * math.log(eps1))
+    eps2 = math.exp(R * math.log(eps1)) if R > 0.0 else 1.0
+    if not 0.0 < eps2 < 1.0:
+        raise ParameterError(f"ratio R = ln(eps2)/ln(eps1) = {R!r} must be positive and "
+                             f"give eps2 = eps1^R in (0, 1) at eps1 = {eps1!r}")
+    return eps2
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,7 @@ def build_parser():
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--length", "-m", type=_positive_int, default=None,
+    p.add_argument("--length", "-m", type=_c0, default=None,  # within the --c0 bound
                    help="evaluate the threshold interval at this length")
     _add_common(p, "strategy")
     p.add_argument("--out", default=None, help="also write a one-row CSV here")

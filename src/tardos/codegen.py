@@ -251,12 +251,18 @@ def _unpack(packed, m):
     return np.unpackbits(packed.view(np.uint8), axis=1, count=m, bitorder="little")
 
 
+def _user_indices(indices, n):
+    """An index list as int64, checked to lie in 0..n-1."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ParameterError("user index out of range")
+    return idx
+
+
 def _select(cb, indices):
     """Unpacked rows of ``cb`` for an index list, in the given order, picked
     from its chunks in one pass."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= cb.n):
-        raise ParameterError("user index out of range")
+    idx = _user_indices(indices, cb.n)
     picked = np.empty((idx.size, _words_per_row(cb.m)), dtype="<u8")
     for lo, rows in cb.chunks():
         hit = (idx >= lo) & (idx < lo + len(rows))

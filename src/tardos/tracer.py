@@ -6,10 +6,9 @@ columns where y shows a 1:
     S_j = sum over {i : y_i = 1} of (g1(p_i) if X_ji = 1 else g0(p_i)).
 
 A user is accused exactly when S_j > Z (strict: a score equal to the threshold
-is not an accusation). The coalition's collective sum adds the member scores,
-which in column terms is S = sum over {i : y_i = 1} of
-(x_i g1(p_i) + (c - x_i) g0(p_i)) with x_i the count of ones among the
-coalition's rows.
+is not an accusation). The coalition's collective sum adds its members'
+scores, as :mod:`tardos.simulate` does. Every score comes from one product
+of bits and weights, :func:`_score_blocks`.
 """
 
 import math
@@ -17,16 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codegen import _row_spans, _unpack
+from .codegen import _row_spans, _unpack, _user_indices
 from .errors import ParameterError
 from .model import g0, g1
 
-# Bits per scoring block: 512 KiB as float64, and a matrix-vector product
-# far below the size at which OpenBLAS splits it over threads.
+# Bits per scoring block: 512 KiB as float64.
 _BLOCK_BITS = 1 << 16
 
-# Columns per piece of a 1-d product. numpy computes one with BLAS ddot, which
-# OpenBLAS splits over threads above 10^4 elements.
+# Columns per piece of a lone row's product. numpy computes one with BLAS
+# ddot, which OpenBLAS splits over threads above 10^4 elements.
 _DOT_COLUMNS = 1 << 13
 
 
@@ -82,53 +80,58 @@ def _score_pieces(y, p):
 
 
 def _score_blocks(block, n, w, base):
-    """``base + block(lo, hi).astype(float64) @ w`` for rows 0..n-1, as one array.
+    """``base + block(lo, hi).astype(float64) @ w`` for rows 0..n-1, as one
+    array: the one product of bits and weights behind every score.
 
     ``block(lo, hi)`` returns rows lo..hi-1 as a (hi - lo, w.size) bit array
     and is called serially, in ascending ``lo``. A block holds whole groups
     of 4 rows, as many as fit in ``_BLOCK_BITS`` bits (at least one group),
     except the last: it runs to row n and keeps at least 4 rows when n >= 4,
     so it may hold up to 3 rows more. OpenBLAS's matrix-vector kernel takes
-    rows in groups of 4 and the rows left over one by one, and a product of
-    a single row takes another path, so each score is the float that one
-    product over all n rows gives on one thread, whatever the block size.
-    The blocks stay far below the size at which OpenBLAS splits a product
-    over threads, so the scores do not depend on the BLAS thread count.
-    """
+    rows in groups of 4 and the rows left over one by one, so each score is
+    the float that one product over all n rows gives, whatever the block
+    size; a block of 2 or more rows gave the same floats at 1 and 2 BLAS
+    threads (checked up to 7 rows of 10^6 columns). A lone row (only when
+    n = 1) would go to BLAS ddot, which OpenBLAS splits over threads above
+    about 10^4 elements, so it is summed in order over pieces of
+    ``_DOT_COLUMNS`` columns; up to that many it is the one product."""
     rows = 4 * max(1, _BLOCK_BITS // (4 * max(w.size, 1)))
     scores = np.empty(n, dtype=np.float64)
     for lo, hi in _row_spans(n, rows):
-        scores[lo:hi] = block(lo, hi).astype(np.float64) @ w + base
+        if hi - lo > 1:
+            scores[lo:hi] = block(lo, hi).astype(np.float64) @ w + base
+        else:
+            x = block(lo, hi)[0].astype(np.float64)
+            scores[lo] = base + sum((float(x[i:i + _DOT_COLUMNS] @ w[i:i + _DOT_COLUMNS])
+                                     for i in range(0, w.size, _DOT_COLUMNS)), 0.0)
     return scores
 
 
-def _dot(x, w):
-    """``x @ w`` as the in-order sum of its pieces of :data:`_DOT_COLUMNS`
-    columns, so the float does not depend on the BLAS thread count; up to
-    that many columns it is the one product."""
-    return sum((float(x[i:i + _DOT_COLUMNS] @ w[i:i + _DOT_COLUMNS])
-                for i in range(0, w.size, _DOT_COLUMNS)), 0.0)
+def _binary_rows(rows, ndim, bias):
+    """``rows`` as uint8, checked to be 0 or 1 before the cast, like :class:`PirateCopy`."""
+    raw = np.asarray(rows)
+    if raw.ndim != ndim or raw.size < 1:
+        raise ParameterError(f"codeword rows must form a nonempty {ndim}-d array")
+    if raw.shape[-1] != bias.m:
+        raise ParameterError("row length disagrees with bias length")
+    if not ((raw == 0) | (raw == 1)).all():
+        raise ParameterError("codeword rows must be binary")
+    return raw.astype(np.uint8)
 
 
 def score_user(row, y, bias):
     """Accusation sum of a single codeword row against pirate copy ``y``."""
-    r = np.asarray(row, dtype=np.uint8)
-    if r.size != bias.m:
-        raise ParameterError("row length disagrees with bias length")
+    r = _binary_rows(row, 1, bias)
     mask, w, base = _score_pieces(y, bias.p)
-    return base + _dot(r[mask].astype(np.float64), w)
+    return float(_score_blocks(lambda lo, hi: r[None, mask], 1, w, base)[0])
 
 
 def coalition_score(rows, y, bias):
-    """Collective sum of the coalition owning ``rows`` (one row per member)."""
-    r = np.asarray(rows, dtype=np.uint8)
-    if r.ndim != 2 or r.shape[0] < 1:
-        raise ParameterError("coalition rows must form a nonempty 2-d array")
-    if r.shape[1] != bias.m:
-        raise ParameterError("row length disagrees with bias length")
+    """Collective sum of the coalition owning ``rows`` (one row per member):
+    the sum of the members' scores, as :mod:`tardos.simulate` takes it."""
     mask, w, base = _score_pieces(y, bias.p)
-    x = r[:, mask].sum(axis=0, dtype=np.int64)
-    return _dot(x, w) + r.shape[0] * base
+    r = _binary_rows(rows, 2, bias)[:, mask]
+    return float(_score_blocks(lambda lo, hi: r[lo:hi], len(r), w, base).sum())
 
 
 @dataclass(frozen=True)
@@ -163,10 +166,11 @@ def trace(cb, y, Z, threads=1, coalition=None):
     slower than one thread, so ``threads`` is kept for API compatibility and
     is not used.
     When ``coalition`` (user indices) is given, the report carries their
-    collective sum as well.
+    collective sum as well: the sum of their scores, so a file is read once.
     """
     if math.isnan(Z):
         raise ParameterError("threshold must be a real number or +/-inf")
+    idx = None if coalition is None else _user_indices(coalition, cb.n)
     p = cb.bias.p
     mask, w, base = _score_pieces(y, p)
     wfull = np.zeros(p.size, dtype=np.float64)
@@ -176,8 +180,6 @@ def trace(cb, y, Z, threads=1, coalition=None):
         scores[lo:lo + len(rows)] = _score_blocks(
             lambda a, b: _unpack(rows[a:b], p.size), len(rows), wfull, base)
     accused = np.flatnonzero(scores > Z).astype(np.int64)
-    cscore = None
-    if coalition is not None:
-        cscore = coalition_score(cb.select_bits(coalition), y, cb.bias)
+    cscore = None if idx is None else float(scores[idx].sum())
     return AccusationReport(scores=scores, threshold=float(Z), accused=accused,
                             coalition_score=cscore)

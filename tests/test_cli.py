@@ -470,6 +470,13 @@ class TestExitCodes:
           "--eps2", ".3", "--trials", "1"], "budget"),
         (["table", "--c0-list", f"3,{10 ** 400}", "--ratio-list", ".1", "--iterations", "10"],
          "--c0-list"),
+        (["predict", "--c0", "4", "--eps1", ".1", "--eps2", ".3", "--length", str(10 ** 400)],
+         "--length"),
+        # eps1^R rounds to 1 or falls to 0: the message names the ratio, not eps2.
+        (["search", "--c0", "4", "--iterations", "10", "--ratio", "inf"], "ratio R"),
+        (["search", "--c0", "4", "--iterations", "10", "--ratio", "1e-320"], "ratio R"),
+        (["table", "--c0-list", "4", "--ratio-list", "1e-300", "--iterations", "10"],
+         "ratio R"),
     ])
     def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
         out = tmp_path / "unused.bin"

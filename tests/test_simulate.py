@@ -197,6 +197,16 @@ class TestDeterminism:
         assert "innocent moments" in one
         assert cli_at_blas_threads(argv, 2) == one
 
+    def test_lone_innocent_does_not_depend_on_blas_threads(self, cli_at_blas_threads):
+        # One innocent a trial is a block of one row, which as one product of
+        # 40,000 columns went to BLAS ddot and was split over two threads.
+        argv = ["--seed", "3", "--threads", "1", "simulate", "--c0", "1", "--eps1", "0.01",
+                "--eps2", "0.25", "--length", "40000", "--threshold", "5", "--trials", "3",
+                "--innocents", "1", "--out-jsonl", "-"]
+        one = cli_at_blas_threads(argv, 1)
+        assert "innocent moments" in one
+        assert cli_at_blas_threads(argv, 2) == one
+
     def test_seed_changes_outcome(self):
         base = self._cfg(1)
         other = SimConfig(params=base.params, strategy="interleave", c=6,

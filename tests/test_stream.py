@@ -109,6 +109,23 @@ class TestTrace:
         assert got.scores.tobytes() == want.scores.tobytes()
         assert got.coalition_score == want.coalition_score
 
+    def test_coalition_is_read_once_and_sums_its_scores(self, tmp_path, monkeypatch):
+        # At this seed, rows picked out and scored again sum to other last digits.
+        write_book(tmp_path / "cb.bin", 50, 300, seed=2)
+        y = write_pirate(tmp_path / "y.txt", 300)
+        checked = []
+
+        def counting_crc64(data, crc=0):
+            checked.append(memoryview(data).nbytes)
+            return crc64(data, crc)
+
+        crc64 = codegen.crc64
+        monkeypatch.setattr(codegen, "crc64", counting_crc64)
+        with CodebookFile(tmp_path / "cb.bin") as f:
+            rep = trace(f, y, 2.0, coalition=[40, 3, 17])
+        assert sum(checked) == os.path.getsize(tmp_path / "cb.bin") - 8
+        assert rep.coalition_score == float(rep.scores[[40, 3, 17]].sum())
+
 
 class TestCodebookFile:
     @pytest.mark.parametrize("n", [0, 1, 5, 8, 11, 12, 13])

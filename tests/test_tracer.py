@@ -67,6 +67,17 @@ class TestRawCopiesValidated:
         with pytest.raises(ParameterError, match="binary"):
             PirateCopy(bits=bad)
 
+    @pytest.mark.parametrize("bad", [2, 1.7, -1])
+    def test_rows_are_not_cast_first(self, book, bad):
+        # Cast to uint8 first, a 2 would count twice, 1.7 as a 1 and -1 as 255.
+        y = np.array([0, 1, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        rows = book.select_bits([0, 1]).astype(np.float64)
+        rows[0, 1] = bad
+        with pytest.raises(ParameterError, match="binary"):
+            score_user(rows[0], y, book.bias)
+        with pytest.raises(ParameterError, match="binary"):
+            coalition_score(rows, y, book.bias)
+
     def test_raw_copy_scores_like_wrapped_and_stays_writable(self, book):
         y = np.array([0, 1, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
         raw = trace(book, y, Z=0.0)
@@ -118,6 +129,15 @@ class TestCoalitionScore:
         total = coalition_score(rows, y, bv)
         member_sum = sum(score_user(rows[j], y, bv) for j in range(5))
         assert total == pytest.approx(member_sum, rel=1e-9)
+
+    def test_is_the_sum_of_block_scores(self):
+        # The coalition total of a simulation trial, bit for bit.
+        bv = sample_bias(300, 1e-2, seed=57)
+        rows = np.stack([row_bits(bv, 57, j) for j in range(6)])
+        y = (rows.sum(axis=0) > 2).astype(np.uint8)
+        mask, w, base = tracer._score_pieces(y, bv.p)
+        coal = tracer._score_blocks(lambda lo, hi: rows[lo:hi, mask], 6, w, base)
+        assert coalition_score(rows, y, bv) == float(coal.sum())
 
     def test_shape_validation(self):
         bv = sample_bias(8, 1e-3, seed=56)
@@ -180,6 +200,9 @@ class TestTrace:
         assert rep.coalition_score == pytest.approx(
             coalition_score(rows, y.bits, cb.bias), rel=1e-12)
         assert trace(cb, y, Z=0.0).coalition_score is None
+        for bad in ([0, 8], [-1]):
+            with pytest.raises(ParameterError, match="out of range"):
+                trace(cb, y, Z=0.0, coalition=bad)
 
     def test_csv_format(self, fixture_book):
         cb = fixture_book
@@ -241,18 +264,38 @@ class TestScoreBlocks:
 
 
 class TestDot:
+    """A lone row (n = 1) is the one block ``_score_blocks`` does not hand to
+    a matrix-vector product: it sums fixed pieces of ``_DOT_COLUMNS`` in order."""
+
+    @staticmethod
+    def _lone(x, w):
+        return float(tracer._score_blocks(lambda lo, hi: x[None, :], 1, w, 0.0)[0])
+
     @pytest.mark.parametrize("size", [0, 1, 4097, tracer._DOT_COLUMNS])
     def test_one_piece_is_the_one_product(self, size):
         g = np.random.default_rng(size)
         x, w = g.random(size), g.standard_normal(size)
-        assert tracer._dot(x, w) == float(x @ w)
+        assert self._lone(x, w) == float(x @ w)
 
     def test_wide_products_sum_fixed_pieces_in_order(self):
         g = np.random.default_rng(3)
         k = tracer._DOT_COLUMNS
         x, w = g.integers(0, 3, 2 * k + 5), g.standard_normal(2 * k + 5)
         pieces = [float(x[i:i + k] @ w[i:i + k]) for i in (0, k, 2 * k)]
-        assert tracer._dot(x, w) == (pieces[0] + pieces[1]) + pieces[2]
+        assert self._lone(x, w) == (pieces[0] + pieces[1]) + pieces[2]
+
+    def test_lone_user_trace_does_not_depend_on_blas_threads(
+            self, tmp_path, cli_at_blas_threads):
+        # One row of 40,000 columns, all of them evidence: as one product it
+        # went to BLAS ddot, which OpenBLAS split over two threads.
+        m = 40_000
+        save_codebook(gen_matrix(1, sample_bias(m, 0.01, seed=2), seed=2), tmp_path / "cb.bin")
+        (tmp_path / "y.txt").write_text("1" * m)
+        argv = ["trace", "--codebook", str(tmp_path / "cb.bin"),
+                "--pirate", str(tmp_path / "y.txt"), "--threshold", "10", "--out", "-"]
+        one = cli_at_blas_threads(argv, 1)
+        assert one.count("\n") == 2
+        assert cli_at_blas_threads(argv, 2) == one
 
     def test_user_and_coalition_scores_do_not_depend_on_blas_threads(
             self, python_at_blas_threads):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .model import _bits, _real_array
 from .rng import TAG_FORGE, stream
 from .tracer import PirateCopy
 
@@ -89,8 +90,8 @@ class Strategy:
 
     @classmethod
     def from_table(cls, table, kind="custom"):
-        table = tuple(float(v) for v in table)
-        return cls(kind=kind, c=len(table) - 1, psi=table)
+        table = _real_array(table, 1, "psi table")
+        return cls(kind=kind, c=table.size - 1, psi=table)
 
     @classmethod
     def from_csv(cls, text_or_path):
@@ -138,24 +139,23 @@ def forge(coalition_rows, strategy, seed=None, rng=None):
     (anything :meth:`Strategy.of` takes).
 
     Per column: count x ones among the rows; emit 1 with probability psi(x),
-    with the undetectable cases x = 0 and x = c forced to 0 and 1. Coin flips
+    so the undetectable cases x = 0 and x = c (psi 0 and 1) are forced. Coin flips
     come from stream (seed, forge tag), so the copy is seed-reproducible;
     callers managing their own streams pass ``rng`` instead of ``seed``.
     """
-    rows = np.asarray(coalition_rows, dtype=np.uint8)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ParameterError("coalition rows must form a nonempty 2-d array")
-    if rows.max(initial=0) > 1:
-        raise ParameterError("coalition rows must be binary")
+    rows = _bits(coalition_rows, 2, "coalition rows")
     strategy = Strategy.of(strategy, rows.shape[0])
     if (seed is None) == (rng is None):
         raise ParameterError("pass exactly one of seed and rng")
     if rng is None:
         rng = stream(seed, TAG_FORGE)
+    return PirateCopy(bits=_forge(rows, strategy, rng))
+
+
+def _forge(rows, strategy, rng):
+    """The copy bits :func:`forge` draws, from a uint8 bit array ``rows`` and
+    the Strategy of its row count, unchecked: callers check both first."""
     x = rows.sum(axis=0, dtype=np.int64)
     prob = strategy.table()[x]
     u = rng.random(rows.shape[1])
-    y = (u < prob).astype(np.uint8)
-    y[x == 0] = 0
-    y[x == strategy.c] = 1
-    return PirateCopy(bits=y)
+    return (u < prob).astype(np.uint8)  # u in [0, 1): psi 0 and 1 force the bit

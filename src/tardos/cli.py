@@ -150,9 +150,6 @@ def cmd_attack(args):
             raise ParameterError("coalition user list is empty")
         if len(set(users)) != len(users):
             raise ParameterError("coalition user list has duplicates")
-        for j in users:
-            if not 0 <= j < cb.n:
-                raise ParameterError(f"user {j} outside 0..{cb.n - 1}")
         rows = cb.select_bits(users)
     y = forge(rows, _strategy(args), seed=args.seed)
     with _out_stream(args.out) as fh:

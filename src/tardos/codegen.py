@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError, ParameterError)
-from .model import _SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams
+from .model import _SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams, _real_array
 from .rng import (TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
                   stream, thresholds)
 
@@ -206,11 +206,9 @@ class BiasVector:
     t: float
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=np.float64)
+        arr = _real_array(self.p, 1, "bias vector").astype(np.float64, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ParameterError("bias vector must be a nonempty 1-d array")
         if not 0.0 < self.t < 0.5:
             raise ParameterError("cutoff t must lie in (0, 1/2)")
         # The slop reaches past 0 and 1 at a tiny t; a bias never does.
@@ -252,11 +250,14 @@ def _unpack(packed, m):
 
 
 def _user_indices(indices, n):
-    """An index list as int64, checked to lie in 0..n-1."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ParameterError("user index out of range")
-    return idx
+    """An index list as int64, checked to be 1-d integers in 0..n-1 before the cast."""
+    raw = np.asarray(indices)
+    if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+        raise ParameterError("user indices must form a 1-d list of integers")
+    bad = raw[(raw < 0) | (raw >= n)]
+    if bad.size:
+        raise ParameterError(f"user {bad[0]} outside 0..{n - 1}: index out of range")
+    return raw.astype(np.int64)
 
 
 def _select(cb, indices):

@@ -73,6 +73,25 @@ def _check_rate(name, v):
         raise ParameterError(f"{name} must lie in (0, 1)")
 
 
+def _real_array(x, ndim, what):
+    """``np.asarray(x)``, uncast, checked to be ``ndim``-d with no empty axis
+    and of bool, int, uint or real float dtype."""
+    raw = np.asarray(x)
+    if raw.ndim != ndim or 0 in raw.shape or raw.dtype.kind not in "biuf":
+        raise ParameterError(f"{what} must be a nonempty {ndim}-d array of bool, int or "
+                             "real values")
+    return raw
+
+
+def _bits(x, ndim, what):
+    """``x`` as a uint8 copy, checked by :func:`_real_array` and to hold only
+    0 and 1 before the cast: the one check of every bit array a caller passes."""
+    raw = _real_array(x, ndim, what)
+    if not ((raw == 0) | (raw == 1)).all():
+        raise ParameterError(f"{what} must be binary")
+    return raw.astype(np.uint8)
+
+
 def tprime(t):
     """Angle cutoff t' = arcsin(sqrt(t)) of the bias support."""
     if not 0.0 < t < 0.5:

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import Strategy, forge
+from .attacks import Strategy, _forge
 from .errors import CapacityError, ParameterError
 from .gaussian import MomentSummary, erfc_inv, moments, normal_cdf
 from .model import ARCSINE, BiasDistribution, SchemeParams
-from .rng import TAG_TRIAL, bernoulli, fan_out, substreams, thresholds
+from .rng import SEED_LIMIT, TAG_TRIAL, bernoulli, fan_out, substreams, thresholds
 from .tracer import _score_blocks, _score_pieces
 
 __all__ = ["SimConfig", "SimReport", "Histogram", "HistogramBundle",
@@ -78,14 +78,13 @@ class SimConfig:
             raise ParameterError(
                 f"coalition size {self.c} exceeds the design size {self.params.c0}")
         object.__setattr__(self, "strategy", Strategy.of(self.strategy, self.c))
-        if self.trials < 1:
-            raise ParameterError("trials must be at least 1")
-        if self.innocents_per_trial < 1:
-            raise ParameterError("innocents_per_trial must be at least 1")
+        for name, lo, hi in (("trials", 1, math.inf), ("innocents_per_trial", 1, math.inf),
+                             ("histogram_bins", 1, _MAX_BINS), ("seed", 0, SEED_LIMIT - 1)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
+                raise ParameterError(f"{name} must be an integer in [{lo}, {hi}]")
         if self.params.Z is None:
             raise ParameterError("scheme parameters must include a threshold Z")
-        if not 1 <= self.histogram_bins <= _MAX_BINS:
-            raise ParameterError(f"histogram_bins must lie in [1, {_MAX_BINS}]")
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def _trial(cfg, dist, k):
     p = dist.sample(m, g_bias)
     thr = thresholds(p)
     rows = bernoulli(g_rows, thr, (cfg.c, m)).astype(np.uint8)
-    y = forge(rows, cfg.strategy, rng=g_forge)
+    y = _forge(rows, cfg.strategy, g_forge)  # rows are bits; SimConfig checked the strategy
     mask, w, base = _score_pieces(y, p)
     rows, thr = rows[:, mask], thr[mask]  # only the evidence columns are scored
     coal = _score_blocks(lambda lo, hi: rows[lo:hi], cfg.c, w, base)

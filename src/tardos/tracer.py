@@ -18,7 +18,7 @@ import numpy as np
 
 from .codegen import _row_spans, _unpack, _user_indices
 from .errors import ParameterError
-from .model import g0, g1
+from .model import _bits, g0, g1
 
 # Bits per scoring block: 512 KiB as float64.
 _BLOCK_BITS = 1 << 16
@@ -35,12 +35,7 @@ class PirateCopy:
     bits: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.bits)
-        if raw.ndim != 1 or raw.size < 1:
-            raise ParameterError("pirate copy must be a nonempty 1-d bit array")
-        if not ((raw == 0) | (raw == 1)).all():
-            raise ParameterError("pirate copy must be binary")
-        arr = raw.astype(np.uint8)  # a copy, so the caller's array stays writable
+        arr = _bits(self.bits, 1, "pirate copy")  # a copy, so the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -60,16 +55,17 @@ class PirateCopy:
 
 
 def _bits_of(y):
-    return (y if isinstance(y, PirateCopy) else PirateCopy(bits=y)).bits
+    """The bits of a :class:`PirateCopy`, or of a raw copy checked by :func:`model._bits`."""
+    return y.bits if isinstance(y, PirateCopy) else _bits(y, 1, "pirate copy")
 
 
-def _score_pieces(y, p):
-    """Mask of evidence columns plus (per-column weight delta, constant part).
+def _score_pieces(yb, p):
+    """Mask of evidence columns plus (per-column weight delta, constant part),
+    for the checked copy bits ``yb`` (see :func:`_bits_of`).
 
     With w = g1 - g0 on the y=1 columns and base = sum of g0 there, any row's
     score is base + <row restricted to the mask, w>.
     """
-    yb = _bits_of(y)
     if yb.size != p.size:
         raise ParameterError("pirate copy length disagrees with bias length")
     mask = yb == 1
@@ -107,31 +103,19 @@ def _score_blocks(block, n, w, base):
     return scores
 
 
-def _binary_rows(rows, ndim, bias):
-    """``rows`` as uint8, checked to be 0 or 1 before the cast, like :class:`PirateCopy`."""
-    raw = np.asarray(rows)
-    if raw.ndim != ndim or raw.size < 1:
-        raise ParameterError(f"codeword rows must form a nonempty {ndim}-d array")
-    if raw.shape[-1] != bias.m:
-        raise ParameterError("row length disagrees with bias length")
-    if not ((raw == 0) | (raw == 1)).all():
-        raise ParameterError("codeword rows must be binary")
-    return raw.astype(np.uint8)
-
-
 def score_user(row, y, bias):
     """Accusation sum of a single codeword row against pirate copy ``y``."""
-    r = _binary_rows(row, 1, bias)
-    mask, w, base = _score_pieces(y, bias.p)
-    return float(_score_blocks(lambda lo, hi: r[None, mask], 1, w, base)[0])
+    return coalition_score(_bits(row, 1, "codeword row")[None], y, bias)
 
 
 def coalition_score(rows, y, bias):
     """Collective sum of the coalition owning ``rows`` (one row per member):
     the sum of the members' scores, as :mod:`tardos.simulate` takes it."""
-    mask, w, base = _score_pieces(y, bias.p)
-    r = _binary_rows(rows, 2, bias)[:, mask]
-    return float(_score_blocks(lambda lo, hi: r[lo:hi], len(r), w, base).sum())
+    mask, w, base = _score_pieces(_bits_of(y), bias.p)
+    r = _bits(rows, 2, "codeword rows")
+    if r.shape[1] != bias.m:
+        raise ParameterError("row length disagrees with bias length")
+    return float(_score_blocks(lambda lo, hi: r[lo:hi, mask], len(r), w, base).sum())
 
 
 @dataclass(frozen=True)
@@ -172,7 +156,7 @@ def trace(cb, y, Z, threads=1, coalition=None):
         raise ParameterError("threshold must be a real number or +/-inf")
     idx = None if coalition is None else _user_indices(coalition, cb.n)
     p = cb.bias.p
-    mask, w, base = _score_pieces(y, p)
+    mask, w, base = _score_pieces(_bits_of(y), p)
     wfull = np.zeros(p.size, dtype=np.float64)
     wfull[mask] = w
     scores = np.empty(cb.n, dtype=np.float64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import _bits, _real_array
+from .model import _bits, _integer, _real_array
 from .rng import TAG_FORGE, stream
 from .tracer import PirateCopy
 
@@ -32,9 +32,7 @@ _MAX_C = 10 ** 6  # a psi table holds c + 1 floats
 
 def strategy_psi(kind, c):
     """The psi table of a named strategy for coalition size ``c``."""
-    if not 1 <= c <= _MAX_C or int(c) != c:
-        raise ParameterError(f"coalition size must be an integer in [1, {_MAX_C}]")
-    c = int(c)
+    c = _integer(c, "coalition size", 1, _MAX_C)
     x = np.arange(c + 1, dtype=np.float64)
     if kind == "extremal":
         psi = (x > 0).astype(np.float64)
@@ -63,8 +61,9 @@ class Strategy:
     psi: tuple
 
     def __post_init__(self):
-        table = np.asarray(self.psi, dtype=np.float64)
-        if table.ndim != 1 or table.size != self.c + 1:
+        _integer(self.c, "coalition size", 1, _MAX_C)
+        table = _real_array(self.psi, 1, "psi table").astype(np.float64)
+        if table.size != self.c + 1:
             raise ParameterError("psi table must have length c + 1")
         if not np.all(np.isfinite(table)) or table.min() < 0.0 or table.max() > 1.0:
             raise ParameterError("psi values must be probabilities")
@@ -86,7 +85,7 @@ class Strategy:
 
     @classmethod
     def from_kind(cls, kind, c):
-        return cls(kind=kind, c=int(c), psi=tuple(strategy_psi(kind, c)))
+        return cls(kind=kind, c=c, psi=tuple(strategy_psi(kind, c)))
 
     @classmethod
     def from_table(cls, table, kind="custom"):

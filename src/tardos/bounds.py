@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError, InfeasibleError, ParameterError, TardosError
-from .model import (ARCSINE, BiasDistribution, _check_rate, _ln_ceil, _quad,
-                    expectation, g1, nu as nu_functional)
+from .model import (_C0_MAX, ARCSINE, BiasDistribution, _check_cutoff, _check_rate, _integer,
+                    _ln_ceil, _quad, _real, expectation, g1, nu as nu_functional)
 from .rng import SEED_LIMIT, TAG_SEARCH, check_seed, stream
 
 log = logging.getLogger(__name__)
@@ -36,15 +36,14 @@ _EXP17 = math.exp(1.7)
 
 
 def _ratio(eps1, eps2):
-    _check_rate("eps1", eps1)
-    _check_rate("eps2", eps2)
+    eps1, eps2 = _check_rate("eps1", eps1), _check_rate("eps2", eps2)
     return math.log(eps2) / math.log(eps1)
 
 
 def eps2_for_ratio(eps1, R):
     """The eps2 with ln(eps2)/ln(eps1) = R, for eps1 in (0, 1) and an R > 0 that
     keeps eps2 = eps1^R in (0, 1) as a float (it can fall to 0 or round to 1)."""
-    _check_rate("eps1", eps1)
+    eps1, R = _check_rate("eps1", eps1), _real(R, "ratio R")
     eps2 = math.exp(R * math.log(eps1)) if R > 0.0 else 1.0
     if not 0.0 < eps2 < 1.0:
         raise ParameterError(f"ratio R = ln(eps2)/ln(eps1) = {R!r} must be positive and "
@@ -67,11 +66,11 @@ class ClosedFormInputs:
     eps2: float
 
     def __post_init__(self):
-        if self.c0 < 1:
-            raise ParameterError("c0 must be at least 1")
-        if not 0.0 < self.tau < 0.5:
+        if not 1.0 <= _real(self.c0, "c0") < math.inf:
+            raise ParameterError("c0 must be a real number of at least 1")
+        if not 0.0 < _real(self.tau, "tau") < 0.5:
             raise ParameterError("tau must lie in (0, 1/2)")
-        if self.omega <= 0.0:
+        if not 0.0 < _real(self.omega, "omega") < math.inf:
             raise ParameterError("omega must be positive")
         _ratio(self.eps1, self.eps2)
 
@@ -187,8 +186,7 @@ class GeneralConditionInputs:
     beta: float = 0.5
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ParameterError("coalition size c must be at least 1")
+        _integer(self.c, "coalition size c", 1)
         if self.alpha2 <= 0.0:
             raise ParameterError("alpha2 must be positive")
         if self.L <= 0.0:
@@ -291,11 +289,10 @@ def check_tardos_condition(c0, t, alpha2, L):
     degenerates); D >= 1 raises. The slack comes from the search's own kernel,
     so a point chosen by :func:`search_min_A` is judged as it was chosen.
     """
-    if not 0.0 < t < 0.5:
-        raise ParameterError("t must lie in (0, 1/2)")
-    if L <= 0.0:
+    c0, t = _integer(c0, "c0", 1, _C0_MAX), _check_cutoff(t)
+    if not _real(L, "L") > 0.0:
         raise ParameterError("L must be positive")
-    if alpha2 < 0.0:
+    if not _real(alpha2, "alpha2") >= 0.0:
         raise ParameterError("alpha2 must be nonnegative")
     if alpha2 == 0.0:
         return ConditionCheck(satisfied=False, slack=0.0)
@@ -452,13 +449,9 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
     the cut is inf, so the counts of an InfeasibleError are unchanged.
     ``threads`` is kept for API compatibility and is not used.
     """
-    if int(iterations) < 1:
-        raise ParameterError("iterations must be at least 1")
-    if c0 < 1 or int(c0) != c0:
-        raise ParameterError("c0 must be a positive integer")
-    c0 = int(c0)
+    iterations = _integer(iterations, "iterations", 1)
+    c0 = _integer(c0, "c0", 1, _C0_MAX)
     R = _ratio(eps1, eps2)
-    iterations = int(iterations)
 
     best_A, best_tuple = math.inf, None
     counts = {"no_alpha2": 0, "invalid_draw": 0}

@@ -17,7 +17,6 @@ failure.
 
 import argparse
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -25,7 +24,7 @@ from contextlib import contextmanager
 from . import bounds, codegen, gaussian, rng, simulate, tracer
 from .attacks import Strategy, forge
 from .errors import CapacityError, InfeasibleError, ParameterError, QuadratureError
-from .model import SchemeParams, default_cutoff, parse_kv_text
+from .model import _C0_MAX, SchemeParams, default_cutoff, parse_kv_text
 
 log = logging.getLogger("tardos.cli")
 
@@ -37,10 +36,6 @@ def _positive_int(text):
     return v
 
 
-# The largest --c0 whose square is still a float; the plans scale with c0^2.
-_C0_MAX = math.isqrt(int(sys.float_info.max))
-
-
 def _c0(text):
     v = _positive_int(text)
     if v > _C0_MAX:
@@ -49,8 +44,9 @@ def _c0(text):
 
 
 def _seed(text):
+    # check_seed takes no text; argparse names --seed when int() fails.
     try:
-        return rng.check_seed(text)
+        return rng.check_seed(int(text))
     except ParameterError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

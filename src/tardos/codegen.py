@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError, ParameterError)
-from .model import _SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams, _real_array
+from .model import (_SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams, _check_cutoff,
+                    _integer, _real_array)
 from .rng import (TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
                   stream, thresholds)
 
@@ -209,8 +210,7 @@ class BiasVector:
         arr = _real_array(self.p, 1, "bias vector").astype(np.float64, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
-        if not 0.0 < self.t < 0.5:
-            raise ParameterError("cutoff t must lie in (0, 1/2)")
+        _check_cutoff(self.t)
         # The slop reaches past 0 and 1 at a tiny t; a bias never does.
         lo, hi = max(self.t - _SUPPORT_SLOP, 0.0), min(1.0 - self.t + _SUPPORT_SLOP, 1.0)
         if not np.all(np.isfinite(arr)) or arr.min() <= 0.0 or arr.min() < lo or arr.max() > hi:
@@ -226,10 +226,9 @@ def sample_bias(m, t, seed):
 
     Uses p = sin^2(r) with r uniform on [t', pi/2 - t']; stream (seed, bias tag).
     """
-    if m < 1:
-        raise ParameterError("m must be at least 1")
+    m = _integer(m, "m", 1)
     dist = BiasDistribution(ARCSINE, t=t)
-    return BiasVector(p=dist.sample(int(m), stream(seed, TAG_BIAS)), t=t)
+    return BiasVector(p=dist.sample(m, stream(seed, TAG_BIAS)), t=t)
 
 
 def _words_per_row(m):
@@ -326,12 +325,13 @@ class Codebook:
 
 
 def _check_capacity(n, m, max_bits=DEFAULT_MAX_BITS):
-    """Raise unless an n x m codebook and its m float64 biases fit in ``max_bits``."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    """``n`` as an int: a user count, checked by :func:`model._integer`, such
+    that an n x m codebook and its m float64 biases fit in ``max_bits``."""
+    n = _integer(n, "n", 1)
     if (n + 64) * m > max_bits:
         raise CapacityError(f"codebook of {n} x {m} bits plus {m} 64-bit biases "
                             f"exceeds the budget of {max_bits} bits")
+    return n
 
 
 def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS, first=0):
@@ -342,7 +342,8 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS,
     ``first`` the rows are those of users ``first .. first+n-1`` of a larger
     code, the slices in which :func:`generate_codebook` writes one.
     """
-    _check_capacity(n, bias.m, max_bits)
+    n, seed = _check_capacity(n, bias.m, max_bits), check_seed(seed)
+    threads, first = _integer(threads, "threads", 1), _integer(first, "first", 0)
     rows = np.zeros((n, _words_per_row(bias.m)), dtype="<u8")
     octets, width = rows.view(np.uint8), (bias.m + 7) // 8
     thr = thresholds(bias.p)
@@ -353,7 +354,7 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS,
             octets[j, :width] = np.packbits(bernoulli(gen, thr, bias.m), bitorder="little")
 
     fan_out(pack, -(-n // _BLOCK_ROWS), threads)
-    return Codebook(bias=bias, rows=rows, seed=int(seed), params=params)
+    return Codebook(bias=bias, rows=rows, seed=seed, params=params)
 
 
 def generate_codebook(path, n, bias, seed, params=None, threads=1):
@@ -365,8 +366,8 @@ def generate_codebook(path, n, bias, seed, params=None, threads=1):
     memory does not grow with n. The budget of :func:`gen_matrix` still
     applies to the whole code.
     """
-    seed = check_seed(seed)
-    _check_capacity(n, bias.m)
+    seed, n = check_seed(seed), _check_capacity(n, bias.m)
+    threads = _integer(threads, "threads", 1)
     step = _BLOCK_ROWS * max(1, _CHUNK_BYTES // (8 * _BLOCK_ROWS * _words_per_row(bias.m)))
     slices = (gen_matrix(min(step, n - lo), bias, seed, threads=threads, first=lo).rows
               for lo in range(0, n, step))
@@ -449,11 +450,11 @@ class CodebookFile:
     Opening parses the header and checks the file's size against it, so a
     truncated file or trailing bytes fail before any row is read. ``bias``,
     ``seed``, ``params``, ``n`` and ``m`` are those of the codebook;
-    :meth:`chunks` yields its rows. Use it as a context manager: a
-    ``ValueError`` (such as a ``ParameterError``) raised in the header's
-    fields or inside the ``with`` block is reported only after the whole
-    file's checksum holds, and a :class:`CodebookChecksumError` otherwise,
-    so a corrupt file always fails as one.
+    :meth:`chunks` yields its rows. Use it as a context manager: a bad
+    header field (``n=8.5``, a bias outside [t, 1-t]) raises
+    :class:`CodebookFormatError`, and it or a ``ValueError`` raised in the
+    ``with`` block is reported only once the whole file's checksum holds,
+    and a :class:`CodebookChecksumError` otherwise: a corrupt file fails as one.
     """
 
     def __init__(self, path):
@@ -487,12 +488,16 @@ class CodebookFile:
             raise CodebookFormatError("trailing bytes after checksum")
         if self.words != _words_per_row(m):
             raise CodebookFormatError("words per row disagrees with bias length")
-        self.params = (SchemeParams.from_kv_text(str(params_blob, "utf-8"))
-                       if params_blob else None)
-        p = np.frombuffer(bias_raw, dtype="<f8")
-        t = self.params.t if self.params is not None else _infer_cutoff(p)
-        self.bias = BiasVector(p=p, t=t)
-        _check_dims(self.params, self.n, m)
+        try:
+            self.params = (SchemeParams.from_kv_text(str(params_blob, "utf-8"))
+                           if params_blob else None)
+            p = np.frombuffer(bias_raw, dtype="<f8")
+            t = self.params.t if self.params is not None else _infer_cutoff(p)
+            self.bias = BiasVector(p=p, t=t)
+            _check_dims(self.params, self.n, m)
+        except ValueError as exc:  # a ParameterError or bad UTF-8 too
+            self.verify()  # a corrupt file fails as a checksum error
+            raise CodebookFormatError(f"bad header: {exc}") from exc
 
     def __enter__(self):
         return self

@@ -23,7 +23,8 @@ import numpy as np
 
 from .attacks import Strategy
 from .errors import ParameterError
-from .model import QUAD_TOL, _check_rate, _quad, default_cutoff, tprime
+from .model import (_C0_MAX, QUAD_TOL, _check_cutoff, _check_rate, _integer, _quad, _real,
+                    default_cutoff, tprime)
 
 __all__ = [
     "MomentSummary", "GaussianPlan", "ZInterval", "CltReport",
@@ -230,17 +231,12 @@ def moments(strategy, c, t=None, c0=None):
     Binomial weights are kept in log space and every E_p uses the sin^2
     substitution, so the sums stay accurate up to c ~ 10^3.
     """
-    if c < 1 or int(c) != c:
-        raise ParameterError("coalition size c must be a positive integer")
-    c = int(c)
-    if c0 is not None and c > c0:
+    c = _integer(c, "coalition size c", 1)
+    if c0 is not None and c > _integer(c0, "c0", 1, _C0_MAX):
         raise ParameterError(f"coalition size {c} exceeds design size {c0}")
-    if t is None:
-        if c0 is None:
-            raise ParameterError("either t or c0 is required")
-        t = default_cutoff(c0)
-    if not 0.0 < t < 0.5:
-        raise ParameterError("cutoff t must lie in (0, 1/2)")
+    if t is None and c0 is None:
+        raise ParameterError("either t or c0 is required")
+    t = _check_cutoff(default_cutoff(c0) if t is None else t)
     psi = Strategy.of(strategy, c).table()
 
     tp = tprime(t)
@@ -299,8 +295,7 @@ def m_min(summary, eps1, eps2, c0):
     """
     if summary.mu_scaled <= 0.0:
         raise ParameterError("coalition mean must be positive")
-    if c0 < 1:
-        raise ParameterError("c0 must be at least 1")
+    c0 = _integer(c0, "c0", 1, _C0_MAX)
     _check_rate("eps1", eps1)
     _check_rate("eps2", eps2)
     bracket = (summary.sigma_j_scaled * _gauss_tail_inv(eps1)
@@ -339,7 +334,7 @@ def z_interval(summary, m, eps1, eps2, c0):
     G as in :func:`m_min`. Empty (low > high) exactly when m < m_min; that is
     a valid flagged result, not an error.
     """
-    if m <= 0:
+    if not _real(m, "m") > 0:
         raise ParameterError("m must be positive")
     _check_rate("eps1", eps1)
     _check_rate("eps2", eps2)
@@ -388,12 +383,10 @@ def conservative_plan(c0, tau, eps1, eps2):
     At m = m_min exactly the window is the single point where both sides
     meet; the integer ceiling reopens it slightly.
     """
-    if c0 < 1:
-        raise ParameterError("c0 must be at least 1")
-    if not 0.0 <= tau < 0.5:
+    c0 = _integer(c0, "c0", 1, _C0_MAX)
+    if not 0.0 <= _real(tau, "tau") < 0.5:
         raise ParameterError("tau must lie in [0, 1/2)")
-    _check_rate("eps1", eps1)
-    _check_rate("eps2", eps2)
+    eps1, eps2 = _check_rate("eps1", eps1), _check_rate("eps2", eps2)
     bracket = erfc_inv(2.0 * eps1) + erfc_inv(2.0 * eps2) / math.sqrt(c0)
     try:
         if bracket <= 0.0:
@@ -449,16 +442,12 @@ def clt_report(c0, t=None, eps1=1e-10, m=None):
     sqrt(2) erfc_inv(2 eps1). ``t`` defaults to 1/(300 c0) and ``m`` to
     2 pi^2 c0^2 ln(1/eps1), the canonical length at these targets.
     """
-    if c0 < 1:
-        raise ParameterError("c0 must be at least 1")
-    if t is None:
-        t = default_cutoff(c0)
-    if not 0.0 < t < 0.5:
-        raise ParameterError("cutoff t must lie in (0, 1/2)")
-    _check_rate("eps1", eps1)
+    c0 = _integer(c0, "c0", 1, _C0_MAX)
+    t = _check_cutoff(default_cutoff(c0) if t is None else t)
+    eps1 = _check_rate("eps1", eps1)
     if m is None:
         m = 2.0 * math.pi ** 2 * c0 ** 2 * math.log(1.0 / eps1)
-    if m < 1:
+    if not _real(m, "m") >= 1:
         raise ParameterError("m must be at least 1")
 
     tp = tprime(t)

@@ -19,6 +19,7 @@ below measures that per-column second moment for other weight choices.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,9 @@ QUAD_TOL = 1e-10
 # Slop allowed when checking that a probability sits inside [t, 1-t]; bias
 # values reconstructed through sin^2 round-trips can land an ulp outside.
 _SUPPORT_SLOP = 1e-12
+
+# The largest design size c0 whose square is still a float: plans scale with c0^2.
+_C0_MAX = math.isqrt(int(sys.float_info.max))
 
 
 def _as_prob_array(p, where):
@@ -67,10 +71,39 @@ def g0(p):
     return _scalar_like(p, -np.sqrt(arr / (1.0 - arr)))
 
 
+def _integer(v, what, lo, hi=math.inf):
+    """``v`` as an int, checked before the cast to be a Python or numpy
+    integer, not a bool, in [lo, hi]: the one check of every count, size,
+    seed and thread count a caller passes."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= int(v) <= hi:
+        raise ParameterError(f"{what} must be an integer in [{lo}, {hi}]")
+    return int(v)
+
+
+def _real(v, what):
+    """``v`` as a float, checked before the cast to be a Python or numpy int
+    or float, not a bool, that a float can hold; NaN and +/-inf pass, so the
+    caller checks the range."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+            or isinstance(v, int) and abs(v) > sys.float_info.max):
+        raise ParameterError(f"{what} must be a real number")
+    return float(v)
+
+
 def _check_rate(name, v):
-    """Reject an error target outside (0, 1), naming it; NaN is rejected too."""
+    """``v`` as a float in (0, 1), naming it; NaN is rejected too."""
+    v = _real(v, name)
     if not 0.0 < v < 1.0:
         raise ParameterError(f"{name} must lie in (0, 1)")
+    return v
+
+
+def _check_cutoff(t):
+    """``t`` as a float in (0, 1/2): the one check of a bias cutoff."""
+    t = _real(t, "cutoff t")
+    if not 0.0 < t < 0.5:
+        raise ParameterError("cutoff t must lie in (0, 1/2)")
+    return t
 
 
 def _real_array(x, ndim, what):
@@ -94,16 +127,12 @@ def _bits(x, ndim, what):
 
 def tprime(t):
     """Angle cutoff t' = arcsin(sqrt(t)) of the bias support."""
-    if not 0.0 < t < 0.5:
-        raise ParameterError("cutoff t must lie in (0, 1/2)")
-    return math.asin(math.sqrt(t))
+    return math.asin(math.sqrt(_check_cutoff(t)))
 
 
 def default_cutoff(c0):
     """Classic cutoff choice t = 1/(300 c0)."""
-    if c0 < 1:
-        raise ParameterError("c0 must be at least 1")
-    return 1.0 / (300.0 * c0)
+    return 1.0 / (300.0 * _integer(c0, "c0", 1, _C0_MAX))
 
 
 @dataclass(frozen=True)
@@ -124,8 +153,7 @@ class BiasDistribution:
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
             raise ParameterError(f"unknown bias distribution kind {self.kind!r}")
-        if not 0.0 < self.t < 0.5:
-            raise ParameterError("cutoff t must lie in (0, 1/2)")
+        _check_cutoff(self.t)
         if self.kind == BETA:
             if self.a is None or self.b is None or self.a <= 0.0 or self.b <= 0.0:
                 raise ParameterError("beta_family requires shape parameters a > 0 and b > 0")
@@ -276,25 +304,19 @@ class SchemeParams:
     B: float | None = None
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ParameterError("n must be a positive integer")
-        if int(self.m) != self.m or self.m < 1:
-            raise ParameterError("m must be a positive integer")
-        if int(self.c0) != self.c0 or self.c0 < 1:
-            raise ParameterError("c0 must be a positive integer")
+        for name, hi in (("n", math.inf), ("m", math.inf), ("c0", _C0_MAX)):
+            _integer(getattr(self, name), name, 1, hi)
         _check_rate("eps1", self.eps1)
         _check_rate("eps2", self.eps2)
-        if not 0.0 < self.t < 0.5:
-            raise ParameterError("t must lie in (0, 1/2)")
-        if self.c0 * self.t >= 0.5:
+        if self.c0 * _check_cutoff(self.t) >= 0.5:
             raise ParameterError("tau = c0 * t must stay below 1/2")
         for name in ("A", "B"):
             v = getattr(self, name)
-            if v is not None and (not math.isfinite(v) or v <= 0.0):
+            if v is not None and not 0.0 < _real(v, name) < math.inf:
                 raise ParameterError(f"{name} must be positive when given")
         # Z is any real threshold; deployments use Z > 0, but degenerate
         # thresholds are meaningful in tests and simulations.
-        if self.Z is not None and math.isnan(self.Z):
+        if self.Z is not None and math.isnan(_real(self.Z, "Z")):
             raise ParameterError("Z must not be NaN")
 
     @classmethod
@@ -303,14 +325,15 @@ class SchemeParams:
 
         m = ceil(A * c0^2 * ceil(ln(1/eps1))), Z = B * c0 * ceil(ln(1/eps1)).
         """
-        if A <= 0.0 or B <= 0.0:
+        c0, A, B = _integer(c0, "c0", 1, _C0_MAX), _real(A, "A"), _real(B, "B")
+        if not (0.0 < A < math.inf and 0.0 < B < math.inf):
             raise ParameterError("A and B must be positive")
         if t is None:
             t = default_cutoff(c0)
-        lc = _ln_ceil(eps1)
+        lc = _ln_ceil(_check_rate("eps1", eps1))
         m = math.ceil(A * c0 ** 2 * lc)
         Z = B * c0 * lc
-        return cls(n=n, m=m, c0=c0, eps1=eps1, eps2=eps2, t=t, Z=Z, A=float(A), B=float(B))
+        return cls(n=n, m=m, c0=c0, eps1=eps1, eps2=eps2, t=t, Z=Z, A=A, B=B)
 
     _FIELD_ORDER = ("n", "m", "c0", "eps1", "eps2", "t", "Z", "A", "B")
     _INT_FIELDS = ("n", "m", "c0")
@@ -334,9 +357,10 @@ class SchemeParams:
         missing = {"n", "m", "c0", "eps1", "eps2", "t"} - set(kv)
         if missing:
             raise ParameterError(f"missing parameter keys: {sorted(missing)}")
-        args = {}
-        for name, raw in kv.items():
-            args[name] = int(raw) if name in cls._INT_FIELDS else float(raw)
+        try:
+            args = {k: int(v) if k in cls._INT_FIELDS else float(v) for k, v in kv.items()}
+        except ValueError as exc:  # such as n=8.5 or t=x
+            raise ParameterError(f"bad parameter value: {exc}") from None
         return cls(**args)
 
 

@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ParameterError
+from .model import _integer
 
 # Purpose tags. Never renumber: stream identities are part of the
 # reproducibility contract for saved seeds.
@@ -41,11 +42,8 @@ SEED_LIMIT = 1 << 64  # seeds are stored as u64 in codebook files
 
 
 def check_seed(seed):
-    """``seed`` as an int in [0, 2^64); anything else is a ParameterError."""
-    seed = int(seed)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ParameterError("seed must be an integer in [0, 2^64)")
-    return seed
+    """``seed`` as an int in [0, 2^64), checked by :func:`model._integer` before any cast."""
+    return _integer(seed, "seed", 0, SEED_LIMIT - 1)
 
 
 def seed_sequence(seed, tag, index=0):
@@ -184,7 +182,7 @@ def fan_out(fn, n, threads):
     back in index order, so when ``fn(i)`` depends only on ``i`` the result
     does not depend on ``threads``.
     """
-    threads = max(1, min(int(threads), n))
+    threads = max(1, min(threads, n))
     if threads == 1:
         return [fn(i) for i in range(n)]
     starts = range(0, n, -(-n // threads))

@@ -29,7 +29,7 @@ import numpy as np
 from .attacks import Strategy, _forge
 from .errors import CapacityError, ParameterError
 from .gaussian import MomentSummary, erfc_inv, moments, normal_cdf
-from .model import ARCSINE, BiasDistribution, SchemeParams
+from .model import ARCSINE, BiasDistribution, SchemeParams, _integer
 from .rng import SEED_LIMIT, TAG_TRIAL, bernoulli, fan_out, substreams, thresholds
 from .tracer import _score_blocks, _score_pieces
 
@@ -72,17 +72,11 @@ class SimConfig:
     histogram_bins: int = 80
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ParameterError("coalition size must be at least 1")
-        if self.c > self.params.c0:
-            raise ParameterError(
-                f"coalition size {self.c} exceeds the design size {self.params.c0}")
-        object.__setattr__(self, "strategy", Strategy.of(self.strategy, self.c))
-        for name, lo, hi in (("trials", 1, math.inf), ("innocents_per_trial", 1, math.inf),
+        for name, lo, hi in (("c", 1, self.params.c0), ("trials", 1, math.inf),
+                             ("innocents_per_trial", 1, math.inf), ("threads", 1, math.inf),
                              ("histogram_bins", 1, _MAX_BINS), ("seed", 0, SEED_LIMIT - 1)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
-                raise ParameterError(f"{name} must be an integer in [{lo}, {hi}]")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi))
+        object.__setattr__(self, "strategy", Strategy.of(self.strategy, self.c))
         if self.params.Z is None:
             raise ParameterError("scheme parameters must include a threshold Z")
 

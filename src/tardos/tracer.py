@@ -18,7 +18,7 @@ import numpy as np
 
 from .codegen import _row_spans, _unpack, _user_indices
 from .errors import ParameterError
-from .model import _bits, g0, g1
+from .model import _bits, _real, g0, g1
 
 # Bits per scoring block: 512 KiB as float64.
 _BLOCK_BITS = 1 << 16
@@ -152,7 +152,7 @@ def trace(cb, y, Z, threads=1, coalition=None):
     When ``coalition`` (user indices) is given, the report carries their
     collective sum as well: the sum of their scores, so a file is read once.
     """
-    if math.isnan(Z):
+    if math.isnan(_real(Z, "threshold")):
         raise ParameterError("threshold must be a real number or +/-inf")
     idx = None if coalition is None else _user_indices(coalition, cb.n)
     p = cb.bias.p

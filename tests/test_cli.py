@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 
@@ -21,6 +23,7 @@ from tardos import (
     trace,
 )
 from tardos import cli as cli_module
+from tardos.codegen import crc64
 
 
 GEN_ARGS = ["--seed", "3", "generate", "--users", "30", "--c0", "6",
@@ -394,7 +397,7 @@ class TestColdStart:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("seed", ["-1", "x", str(2 ** 64), "18446744073709551621"])
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5", str(2 ** 64), "18446744073709551621"])
     def test_bad_seed_is_usage_error(self, run_cli, monkeypatch, tmp_path, seed):
         gen = ["generate", "--users", "5", "--length", "64", "--threshold",
                "3", "--cutoff", "0.01", "--out", str(tmp_path / "cb.bin")]
@@ -520,6 +523,33 @@ class TestExitCodes:
         res = run_cli(["trace", "--codebook", str(bad), "--pirate", str(copy)])
         assert res.code == 4
         assert "checksum" in res.err
+
+    @pytest.mark.parametrize("command", ["attack", "trace"])
+    @pytest.mark.parametrize("line", ["n=8.5", "n=abc", "t=x", "eps1=2"])
+    def test_bad_params_block_is_format_error(self, codebook_path, tmp_path, run_cli,
+                                              command, line):
+        # The params block is rewritten and the file re-checksummed, so only
+        # the params are bad: a format error (exit 4), not a usage error or a
+        # traceback. With one row bit flipped too it is a checksum error.
+        blob = codebook_path.read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 16)  # after magic, version and seed
+        key = line.split("=")[0]
+        text = re.sub(rf"^{key}=.*$", line, blob[20:20 + size].decode(), flags=re.M)
+        body = (blob[:16] + struct.pack("<I", len(text)) + text.encode()
+                + blob[20 + size:-8])
+        codebook_path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        pirate = tmp_path / "y.txt"
+        pirate.write_text("0" * 16)
+        argv = {"attack": ["attack", "--users", "0,1", "--out", str(tmp_path / "out.txt")],
+                "trace": ["trace", "--pirate", str(pirate)]}[command]
+        argv += ["--codebook", str(codebook_path)]
+        res = run_cli(argv)
+        assert res.code == 4 and "bad header" in res.err and "Traceback" not in res.err
+        blob = bytearray(codebook_path.read_bytes())
+        blob[-9] ^= 1  # a bit of the last row
+        codebook_path.write_bytes(bytes(blob))
+        res = run_cli(argv)
+        assert res.code == 4 and "checksum" in res.err
 
     def test_infeasible_search_maps_to_exit_3(self, run_cli, monkeypatch):
         # The bundled search practically cannot fail (the admissibility

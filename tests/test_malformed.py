@@ -1,17 +1,23 @@
-"""Malformed arrays at the public API: each entry point that takes bits, user
-indices or real arrays raises ParameterError, never another exception and
-never a silent cast, and a bool, int or float array of 0 and 1 gives exactly
-the result of its uint8 copy."""
+"""Malformed arrays and scalars at the public API: each entry point that
+takes bits, user indices, real arrays, counts, seeds, thread counts, rates or
+cutoffs raises ParameterError, never another exception and never a silent
+cast, and a bool, int or float array of 0 and 1 gives exactly the result of
+its uint8 copy."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tardos import ParameterError, SchemeParams, Strategy, forge
-from tardos.codegen import BiasVector, gen_matrix, sample_bias
+from tardos import (ARCSINE, BiasDistribution, ParameterError, SchemeParams, Strategy,
+                    check_tardos_condition, clt_report, conservative_plan, default_cutoff,
+                    forge, moments, search_min_A, strategy_psi, tprime)
+from tardos.codegen import BiasVector, gen_matrix, generate_codebook, sample_bias
+from tardos.model import _C0_MAX
+from tardos.rng import check_seed
 from tardos.simulate import SimConfig
 from tardos.tracer import PirateCopy, coalition_score, score_user, trace
 
@@ -137,6 +143,7 @@ def malformed_reals(draw, valid):
 REAL_ENTRIES = {
     "BiasVector": ([0.3, 0.5, 0.2], lambda x: BiasVector(p=x, t=0.1).p),
     "Strategy.from_table": ([0.0, 0.5, 1.0], lambda x: Strategy.from_table(x).psi),
+    "Strategy psi": ([0.0, 0.5, 1.0], lambda x: Strategy(kind="custom", c=2, psi=x).psi),
 }
 
 
@@ -177,3 +184,120 @@ class TestSimConfig:
                         innocents_per_trial=np.uint8(3), seed=np.int32(0),
                         histogram_bins=np.int16(8))
         assert (cfg.trials, cfg.innocents_per_trial, cfg.seed) == (2, 3, 0)
+
+
+# Scalars: every count, seed, thread count, rate and cutoff is checked for its
+# type before any cast, so a fraction, a string or a bool is never taken as a
+# number.
+NOT_NUMBERS = [True, False, np.bool_(True), "2", "0.1", None, 1j, np.complex128(1),
+               np.array(2), [2]]
+SEEDS = (0, 2 ** 64 - 1)
+NO_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "no-such-dir", "cb.bin")
+
+
+def not_integers(lo, hi):
+    """Values an integer argument in [lo, hi] must reject: every float,
+    integral or not, every non-number and the integers out of range."""
+    out = [st.floats(), st.sampled_from(NOT_NUMBERS + [np.float64(2.0), np.float32(3.0)]),
+           st.integers(max_value=lo - 1)]
+    if hi != math.inf:
+        out.append(st.integers(min_value=hi + 1))
+    return st.one_of(out)
+
+
+def not_reals(lo, hi):
+    """Values a real argument in the open interval (lo, hi) must reject."""
+    return st.one_of(st.sampled_from(NOT_NUMBERS + [10 ** 400, -(10 ** 400)]),
+                     st.floats().filter(lambda x: not lo < x < hi),
+                     st.integers().filter(lambda x: not lo < x < hi))
+
+
+def optional(bad):
+    """``bad`` without None, which an optional argument takes as "not given"."""
+    return bad.filter(lambda v: v is not None)
+
+
+def params(**kw):
+    return SchemeParams(**{**dict(n=10, m=100, c0=3, eps1=0.1, eps2=0.1, t=0.01), **kw})
+
+
+def sim(**kw):
+    return SimConfig(**{**dict(params=PARAMS, strategy="interleave", c=2, trials=2,
+                               innocents_per_trial=3, seed=0), **kw})
+
+
+SCALAR_ENTRIES = {
+    "check_seed": (check_seed, not_integers(*SEEDS)),
+    "forge seed": (lambda v: forge([[0, 1], [1, 1]], "interleave", seed=v),
+                   not_integers(*SEEDS)),
+    "sample_bias m": (lambda v: sample_bias(v, 0.01, seed=0), not_integers(1, math.inf)),
+    "sample_bias seed": (lambda v: sample_bias(4, 0.01, seed=v), not_integers(*SEEDS)),
+    "sample_bias t": (lambda v: sample_bias(4, v, seed=0), not_reals(0.0, 0.5)),
+    "gen_matrix n": (lambda v: gen_matrix(v, BOOK.bias, seed=0), not_integers(1, math.inf)),
+    "gen_matrix seed": (lambda v: gen_matrix(2, BOOK.bias, seed=v), not_integers(*SEEDS)),
+    "gen_matrix threads": (lambda v: gen_matrix(2, BOOK.bias, seed=0, threads=v),
+                           not_integers(1, math.inf)),
+    "generate_codebook n": (lambda v: generate_codebook(NO_FILE, v, BOOK.bias, 0),
+                            not_integers(1, math.inf)),
+    "generate_codebook threads": (lambda v: generate_codebook(NO_FILE, 2, BOOK.bias, 0,
+                                                              threads=v),
+                                  not_integers(1, math.inf)),
+    "SchemeParams n": (lambda v: params(n=v), not_integers(1, math.inf)),
+    "SchemeParams m": (lambda v: params(m=v), not_integers(1, math.inf)),
+    "SchemeParams c0": (lambda v: params(c0=v), not_integers(1, _C0_MAX)),
+    "SchemeParams eps1": (lambda v: params(eps1=v), not_reals(0.0, 1.0)),
+    "SchemeParams eps2": (lambda v: params(eps2=v), not_reals(0.0, 1.0)),
+    "SchemeParams t": (lambda v: params(t=v), not_reals(0.0, 0.5)),
+    "SchemeParams A": (lambda v: params(A=v), optional(not_reals(0.0, math.inf))),
+    "SchemeParams B": (lambda v: params(B=v), optional(not_reals(0.0, math.inf))),
+    # Z is any real or +/-inf.
+    "SchemeParams Z": (lambda v: params(Z=v),
+                       optional(st.sampled_from(NOT_NUMBERS + [math.nan, 10 ** 400]))),
+    "SimConfig c": (lambda v: sim(c=v), not_integers(1, PARAMS.c0)),
+    "SimConfig threads": (lambda v: sim(threads=v), not_integers(1, math.inf)),
+    "search_min_A c0": (lambda v: search_min_A(v, 1e-10, 1e-3, 10, 0),
+                        not_integers(1, _C0_MAX)),
+    "search_min_A iterations": (lambda v: search_min_A(4, 1e-10, 1e-3, v, 0),
+                                not_integers(1, math.inf)),
+    "search_min_A eps1": (lambda v: search_min_A(4, v, 1e-3, 10, 0), not_reals(0.0, 1.0)),
+    "check_tardos_condition t": (lambda v: check_tardos_condition(4, v, 0.01, 5.0),
+                                 not_reals(0.0, 0.5)),
+    "check_tardos_condition c0": (lambda v: check_tardos_condition(v, 0.01, 0.01, 5.0),
+                                  not_integers(1, _C0_MAX)),
+    "strategy_psi c": (lambda v: strategy_psi("coin", v), not_integers(1, 10 ** 6)),
+    "moments c": (lambda v: moments("interleave", v, t=0.01), not_integers(1, math.inf)),
+    "moments t": (lambda v: moments("interleave", 2, t=v), not_reals(0.0, 0.5)),
+    "tprime": (tprime, not_reals(0.0, 0.5)),
+    "BiasDistribution t": (lambda v: BiasDistribution(ARCSINE, t=v), not_reals(0.0, 0.5)),
+    "BiasVector t": (lambda v: BiasVector(p=[0.3, 0.5], t=v), not_reals(0.0, 0.5)),
+    "default_cutoff c0": (default_cutoff, not_integers(1, _C0_MAX)),
+    "conservative_plan c0": (lambda v: conservative_plan(v, 0.01, 0.1, 0.1),
+                             not_integers(1, _C0_MAX)),
+    "conservative_plan eps1": (lambda v: conservative_plan(4, 0.01, v, 0.1),
+                               not_reals(0.0, 1.0)),
+    "clt_report c0": (lambda v: clt_report(v), not_integers(1, _C0_MAX)),
+    "clt_report t": (lambda v: clt_report(4, t=v), optional(not_reals(0.0, 0.5))),
+    "trace Z": (lambda v: trace(BOOK, Y, Z=v),
+                st.sampled_from(NOT_NUMBERS + [math.nan, 10 ** 400])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_malformed_scalar_raises_parameter_error(entry, data):
+    call, bad = SCALAR_ENTRIES[entry]
+    with pytest.raises(ParameterError):
+        call(data.draw(bad))
+
+
+def test_numpy_scalars_give_the_python_result():
+    assert params(n=np.int64(10), m=np.uint16(100), c0=np.int8(3), eps1=np.float32(0.25),
+                  t=np.float64(0.01)) == params(n=10, m=100, c0=3, eps1=0.25, t=0.01)
+    assert np.array_equal(forge([[0, 1], [1, 1]], "interleave", seed=np.uint64(7)).bits,
+                          forge([[0, 1], [1, 1]], "interleave", seed=7).bits)
+    assert np.array_equal(gen_matrix(np.int32(3), BOOK.bias, seed=np.int64(1),
+                                     threads=np.int8(2)).rows,
+                          gen_matrix(3, BOOK.bias, seed=1).rows)
+    cfg = sim(c=np.int16(2), threads=np.uint8(2))
+    assert (type(cfg.c), type(cfg.threads)) == (int, int)

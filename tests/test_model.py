@@ -22,7 +22,7 @@ from tardos import (
     nu,
     tprime,
 )
-from tardos.model import parse_kv_text
+from tardos.model import _integer, _real, parse_kv_text
 
 
 class TestWeights:
@@ -80,6 +80,46 @@ class TestCutoffs:
         assert default_cutoff(20) == pytest.approx(1.0 / 6000.0, rel=1e-15)
         with pytest.raises(ParameterError):
             default_cutoff(0)
+
+
+class TestScalarChecks:
+    """``_integer`` and ``_real``: the type is checked before the cast, and the
+    value comes back as a plain Python int or float. ``np.bool_`` (not
+    ``np.bool``) keeps these tests running on numpy 1.24."""
+
+    @pytest.mark.parametrize("v", [5, np.int8(5), np.uint16(5), np.int64(5), np.uint64(5)])
+    def test_integer_accepts_python_and_numpy_integers(self, v):
+        out = _integer(v, "n", 1, 10)
+        assert out == 5 and type(out) is int
+
+    def test_integer_bounds_are_inclusive(self):
+        top = np.uint64(2 ** 64 - 1)
+        assert _integer(top, "seed", 0, 2 ** 64 - 1) == 2 ** 64 - 1
+        assert _integer(0, "seed", 0, 2 ** 64 - 1) == 0
+        for bad in (-1, 2 ** 64):
+            with pytest.raises(ParameterError, match="seed"):
+                _integer(bad, "seed", 0, 2 ** 64 - 1)
+
+    @pytest.mark.parametrize("v", [True, np.bool_(True), 2.0, np.float64(2.0), 2.5, "2",
+                                   None, 2j, np.array(2), [2], math.nan, math.inf])
+    def test_integer_rejects_what_is_not_an_integer(self, v):
+        with pytest.raises(ParameterError, match="threads"):
+            _integer(v, "threads", 1)
+
+    @pytest.mark.parametrize("v", [2, np.int32(2), 2.0, np.float32(2.0), np.float64(2.0)])
+    def test_real_accepts_ints_and_floats(self, v):
+        out = _real(v, "A")
+        assert out == 2.0 and type(out) is float
+
+    def test_real_passes_nan_and_inf_to_the_range_check(self):
+        assert math.isnan(_real(math.nan, "Z"))
+        assert _real(-np.inf, "Z") == -math.inf
+
+    @pytest.mark.parametrize("v", [True, np.bool_(False), "0.1", None, 1j, np.complex128(1),
+                                   np.array(0.1), [0.1], 10 ** 400, -(10 ** 400)])
+    def test_real_rejects_what_is_not_a_real(self, v):
+        with pytest.raises(ParameterError, match="eps1"):
+            _real(v, "eps1")
 
 
 class TestBiasDistribution:
@@ -252,6 +292,12 @@ class TestSchemeParams:
             SchemeParams.from_kv_text("n=1\nm=2\nbogus_key=3\n")
         with pytest.raises(ParameterError):
             SchemeParams.from_kv_text("n=1\n")  # missing required keys
+        text = self._params().kv_text()
+        for bad in ("n=8.5", "n=abc", "t=x"):
+            key = bad.split("=")[0]
+            lines = [bad if ln.startswith(key + "=") else ln for ln in text.splitlines()]
+            with pytest.raises(ParameterError, match="bad parameter value"):
+                SchemeParams.from_kv_text("\n".join(lines))
         with pytest.raises(ParameterError):
             parse_kv_text("just some words\n")
 

@@ -32,7 +32,7 @@ _MAX_C = 10 ** 6  # a psi table holds c + 1 floats
 
 def strategy_psi(kind, c):
     """The psi table of a named strategy for coalition size ``c``."""
-    c = _integer(c, "coalition size", 1, _MAX_C)
+    c = _integer(c, "coalition size c", 1, _MAX_C)
     x = np.arange(c + 1, dtype=np.float64)
     if kind == "extremal":
         psi = (x > 0).astype(np.float64)
@@ -45,7 +45,7 @@ def strategy_psi(kind, c):
     elif kind == "coin":
         psi = np.full(c + 1, 0.5)
     else:
-        raise ParameterError(f"unknown strategy kind {kind!r}")
+        raise ParameterError(f"unknown strategy kind {kind!r}", param="strategy")
     # Undetectable columns are forced regardless of the shape above.
     psi[0] = 0.0
     psi[c] = 1.0
@@ -61,14 +61,14 @@ class Strategy:
     psi: tuple
 
     def __post_init__(self):
-        _integer(self.c, "coalition size", 1, _MAX_C)
+        _integer(self.c, "coalition size c", 1, _MAX_C)
         table = _real_array(self.psi, 1, "psi table").astype(np.float64)
         if table.size != self.c + 1:
-            raise ParameterError("psi table must have length c + 1")
+            raise ParameterError("psi table must have length c + 1", param="psi table")
         if not np.all(np.isfinite(table)) or table.min() < 0.0 or table.max() > 1.0:
-            raise ParameterError("psi values must be probabilities")
+            raise ParameterError("psi values must be probabilities", param="psi table")
         if table[0] != 0.0 or table[self.c] != 1.0:
-            raise ParameterError("marking condition requires psi(0) = 0 and psi(c) = 1")
+            raise ParameterError("marking condition: psi(0) = 0 and psi(c) = 1", param="psi table")
         object.__setattr__(self, "psi", tuple(float(v) for v in table))
 
     @classmethod
@@ -80,7 +80,8 @@ class Strategy:
         elif not isinstance(strategy, cls):
             strategy = cls.from_table(strategy)
         if strategy.c != c:
-            raise ParameterError(f"strategy is for coalition size {strategy.c}, not {c}")
+            raise ParameterError(f"strategy is for coalition size {strategy.c}, not {c}",
+                                 param="coalition size c")
         return strategy
 
     @classmethod
@@ -107,9 +108,9 @@ class Strategy:
     def from_csv_text(cls, text):
         """Parse CSV rows ``x, psi(x)``; an optional header row is skipped.
 
-        Every x in 0..c must appear exactly once.
+        Every x in 0..c must appear exactly once, with a number psi(x).
         """
-        entries = {}
+        entries = []
         for row in csv.reader(io.StringIO(text)):
             if not row or not "".join(row).strip():
                 continue
@@ -117,17 +118,15 @@ class Strategy:
                 x = int(row[0])
             except ValueError:
                 continue  # header row
-            if len(row) < 2:
-                raise ParameterError("psi CSV rows must be 'x, psi(x)'")
-            if x in entries:
-                raise ParameterError(f"duplicate x = {x} in psi CSV")
-            entries[x] = float(row[1])
-        if not entries:
-            raise ParameterError("psi CSV holds no rows")
-        c = max(entries)
-        if sorted(entries) != list(range(c + 1)):
-            raise ParameterError("psi CSV must cover every x in 0..c exactly once")
-        return cls.from_table([entries[x] for x in range(c + 1)])
+            try:
+                entries.append((x, float(row[1])))
+            except (IndexError, ValueError):
+                raise ParameterError("psi CSV rows must be 'x, psi(x)' with a number psi(x)",
+                                     param="psi table") from None
+        entries.sort()
+        if not entries or [x for x, _ in entries] != list(range(len(entries))):
+            raise ParameterError("psi CSV needs each x in 0..c exactly once", param="psi table")
+        return cls.from_table([psi for _, psi in entries])
 
     def table(self):
         return np.asarray(self.psi, dtype=np.float64)

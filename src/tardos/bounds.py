@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyWindowError, InfeasibleError, ParameterError, TardosError
 from .model import (_C0_MAX, ARCSINE, BiasDistribution, _check_cutoff, _check_rate, _integer,
-                    _ln_ceil, _quad, _real, expectation, g1, nu as nu_functional)
+                    _ln_ceil, _positive, _quad, _real, expectation, g1, nu as nu_functional)
 from .rng import SEED_LIMIT, TAG_SEARCH, check_seed, stream
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,7 @@ def eps2_for_ratio(eps1, R):
     eps2 = math.exp(R * math.log(eps1)) if R > 0.0 else 1.0
     if not 0.0 < eps2 < 1.0:
         raise ParameterError(f"ratio R = ln(eps2)/ln(eps1) = {R!r} must be positive and "
-                             f"give eps2 = eps1^R in (0, 1) at eps1 = {eps1!r}")
+                             f"give eps2 = eps1^R in (0, 1) at eps1 = {eps1!r}", param="ratio R")
     return eps2
 
 
@@ -67,11 +67,10 @@ class ClosedFormInputs:
 
     def __post_init__(self):
         if not 1.0 <= _real(self.c0, "c0") < math.inf:
-            raise ParameterError("c0 must be a real number of at least 1")
+            raise ParameterError("c0 must be a real number of at least 1", param="c0")
         if not 0.0 < _real(self.tau, "tau") < 0.5:
-            raise ParameterError("tau must lie in (0, 1/2)")
-        if not 0.0 < _real(self.omega, "omega") < math.inf:
-            raise ParameterError("omega must be positive")
+            raise ParameterError("tau must lie in (0, 1/2)", param="tau")
+        _positive(self.omega, "omega")
         _ratio(self.eps1, self.eps2)
 
 
@@ -143,14 +142,10 @@ def length_window(nu, L, alpha2, c0, eps1, eps2, B=None):
     EmptyWindowError. The smallest B with a nonempty window is
     2 nu L (2 + psi).
     """
-    if nu <= 0.0 or L <= 0.0 or alpha2 <= 0.0 or c0 < 1:
-        raise ParameterError("nu, L, alpha2 must be positive and c0 >= 1")
-    R = _ratio(eps1, eps2)
+    nu, L, alpha2 = _positive(nu, "nu"), _positive(L, "L"), _positive(alpha2, "alpha2")
+    c0, R = _integer(c0, "c0", 1, _C0_MAX), _ratio(eps1, eps2)
     psi = math.sqrt(1.0 + R / (nu * L * alpha2 * c0 ** 2)) - 1.0
-    if B is None:
-        B = 4.0 * nu * L * (1.0 + psi)
-    elif B <= 0.0:
-        raise ParameterError("B must be positive")
+    B = 4.0 * nu * L * (1.0 + psi) if B is None else _positive(B, "B")
     A_low = L * B + L * R / (alpha2 * c0 ** 2)
     A_high = B * B / (4.0 * nu)
     if A_low > A_high * (1.0 + 1e-12) + 1e-12:
@@ -187,12 +182,10 @@ class GeneralConditionInputs:
 
     def __post_init__(self):
         _integer(self.c, "coalition size c", 1)
-        if self.alpha2 <= 0.0:
-            raise ParameterError("alpha2 must be positive")
-        if self.L <= 0.0:
-            raise ParameterError("L must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError("beta must lie in (0, 1)")
+        _positive(self.alpha2, "alpha2")
+        _positive(self.L, "L")
+        if not 0.0 < _real(self.beta, "beta") < 1.0:
+            raise ParameterError("beta must lie in (0, 1)", param="beta")
 
 
 def _weight_flow_derivative(dist):
@@ -290,10 +283,9 @@ def check_tardos_condition(c0, t, alpha2, L):
     so a point chosen by :func:`search_min_A` is judged as it was chosen.
     """
     c0, t = _integer(c0, "c0", 1, _C0_MAX), _check_cutoff(t)
-    if not _real(L, "L") > 0.0:
-        raise ParameterError("L must be positive")
+    _positive(L, "L")
     if not _real(alpha2, "alpha2") >= 0.0:
-        raise ParameterError("alpha2 must be nonnegative")
+        raise ParameterError("alpha2 must be nonnegative", param="alpha2")
     if alpha2 == 0.0:
         return ConditionCheck(satisfied=False, slack=0.0)
     D = math.e * (c0 * alpha2 / 1.7) ** 2
@@ -532,14 +524,16 @@ def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
     logged, not returned. Cells run serially, like the blocks of each search;
     ``threads`` is kept for API compatibility and is not used.
     """
-    c0_list, R_list = tuple(c0_list), tuple(R_list)
-    if not c0_list or not R_list:
-        raise ParameterError("c0_list and R_list must be nonempty")
+    # Every cell's c0 and R is checked before the first cell runs.
+    c0_list = tuple(_integer(c0, "c0", 1, _C0_MAX) for c0 in c0_list)
+    R_list, eps2_list = tuple(R_list), [eps2_for_ratio(eps1, R) for R in R_list]
+    for what, values in (("c0", c0_list), ("ratio R", R_list)):
+        if not values:
+            raise ParameterError(f"the list of {what} values must be nonempty", param=what)
     seed = check_seed(seed)
     results = []
     cell = 0
-    for R in R_list:
-        eps2 = eps2_for_ratio(eps1, R)
+    for R, eps2 in zip(R_list, eps2_list):
         for c0 in c0_list:
             res = search_min_A(c0, eps1, eps2, iterations, (seed + cell) % SEED_LIMIT)
             tT = 1.0 / (300.0 * c0)

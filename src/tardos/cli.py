@@ -12,7 +12,8 @@ provide defaults for any long option; the fully resolved configuration is
 logged to stderr on every run (no timestamps, so reruns are byte-identical).
 Exit codes: 0 success, 2 usage error (also a cutoff too small for the
 quadrature), 3 infeasible constraints or empty window, 4 I/O or file-format
-failure.
+failure. A usage error names the flag that fed the value: the library names
+the argument (``ParameterError.param``) and :func:`main` maps it to a flag.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from contextlib import contextmanager
 from . import bounds, codegen, gaussian, rng, simulate, tracer
 from .attacks import Strategy, forge
 from .errors import CapacityError, InfeasibleError, ParameterError, QuadratureError
-from .model import _C0_MAX, SchemeParams, default_cutoff, parse_kv_text
+from .model import SchemeParams, _check_tau, default_cutoff, parse_kv_text
 
 log = logging.getLogger("tardos.cli")
 
@@ -33,13 +34,6 @@ def _positive_int(text):
     v = int(text)
     if v < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
-    return v
-
-
-def _c0(text):
-    v = _positive_int(text)
-    if v > _C0_MAX:
-        raise argparse.ArgumentTypeError(f"must be at most {_C0_MAX:.3g}")
     return v
 
 
@@ -61,11 +55,6 @@ def _list_of(item, kind):
     return parse
 
 
-_int_list = _list_of(int, "integer")
-_c0_list = _list_of(_c0, "integer")  # each entry within the --c0 bound
-_float_list = _list_of(float, "number")
-
-
 @contextmanager
 def _out_stream(path):
     """Writable text stream for ``path``; '-' means stdout."""
@@ -77,17 +66,22 @@ def _out_stream(path):
 
 
 def _cutoff(args):
-    """--cutoff, or 1/(300 c0); with c0 known it must keep tau = c0*t below 1/2."""
-    t = args.cutoff
-    if t is None:
-        if args.c0 is None:
-            raise ParameterError("--cutoff is required when --c0 is not given")
-        return default_cutoff(args.c0)
-    c0 = args.c0 or 1
-    if not (t > 0.0 and c0 * t < 0.5):
-        bound = f"1/(2*c0) = {0.5 / c0:.3g} at --c0 {c0}" if args.c0 else "1/2"
-        raise ParameterError(f"--cutoff {t!r} must lie in (0, {bound})")
+    """--cutoff, or 1/(300 c0); with --c0 given, the library checks the pair."""
+    if args.cutoff is None and args.c0 is None:
+        raise ParameterError("--cutoff is required when --c0 is not given")
+    t = default_cutoff(args.c0) if args.cutoff is None else args.cutoff
+    if args.c0 is not None:
+        _check_tau(args.c0, t)
     return t
+
+
+def _plan(args, t):
+    """The conservative plan of --c0/--eps1/--eps2 at cutoff ``t``; it must have a length."""
+    plan = gaussian.conservative_plan(args.c0, args.c0 * t, args.eps1, args.eps2)
+    if plan.m == 0:
+        raise ParameterError(f"--eps1 {args.eps1!r} and --eps2 {args.eps2!r} are so loose "
+                             "that the plan has no columns; lower either")
+    return plan
 
 
 def _log_resolved(args):
@@ -103,25 +97,20 @@ def _log_resolved(args):
 
 def cmd_generate(args):
     t = _cutoff(args)
-    params = None
     missing = [f"--{k}" for k in ("length", "c0", "eps1", "eps2") if getattr(args, k) is None]
     if args.threshold is not None and missing:
         raise ParameterError("--threshold is stored only with --length and a full plan; "
                              f"also give {'/'.join(missing)}")
-    if args.length is not None:
-        m = args.length
-        if not missing:
-            params = SchemeParams(n=args.users, m=m, c0=args.c0, eps1=args.eps1,
-                                  eps2=args.eps2, t=t, Z=args.threshold)
-    else:
-        if args.c0 is None or args.eps1 is None or args.eps2 is None:
-            raise ParameterError(
-                "give --length, or --c0/--eps1/--eps2 to derive it from a plan")
-        plan = gaussian.conservative_plan(args.c0, args.c0 * t, args.eps1, args.eps2)
-        m = plan.m
-        params = SchemeParams(n=args.users, m=m, c0=args.c0, eps1=args.eps1,
-                              eps2=args.eps2, t=t, Z=plan.Z)
+    m, Z = args.length, args.threshold
+    if m is None:
+        if missing != ["--length"]:
+            raise ParameterError("give --length, or --c0/--eps1/--eps2 to derive it from a plan")
+        plan = _plan(args, t)
+        m, Z = plan.m, plan.Z
         log.info("plan: m=%d Z in [%r, %r]", plan.m, plan.Z_low, plan.Z_high)
+    # The params are stored only with a full plan.
+    params = None if set(missing) - {"--length"} else SchemeParams(
+        n=args.users, m=m, c0=args.c0, eps1=args.eps1, eps2=args.eps2, t=t, Z=Z)
     codegen._check_capacity(args.users, m)  # before the bias vector is drawn
     bias = codegen.sample_bias(m, t, args.seed)
     codegen.generate_codebook(args.out, args.users, bias, args.seed, params=params,
@@ -142,10 +131,8 @@ def cmd_attack(args):
     # The codebook is read in chunks; a corrupt one fails before any output.
     with codegen.CodebookFile(args.codebook) as cb:
         users = args.users
-        if not users:
-            raise ParameterError("coalition user list is empty")
         if len(set(users)) != len(users):
-            raise ParameterError("coalition user list has duplicates")
+            raise ParameterError("--users lists a user twice")
         rows = cb.select_bits(users)
     y = forge(rows, _strategy(args), seed=args.seed)
     with _out_stream(args.out) as fh:
@@ -160,13 +147,9 @@ def cmd_trace(args):
     with codegen.CodebookFile(args.codebook) as cb:
         with open(args.pirate, "r", encoding="utf-8") as fh:
             y = tracer.PirateCopy.from_text(fh.read())
-        Z = args.threshold
+        Z = args.threshold if args.threshold is not None else getattr(cb.params, "Z", None)
         if Z is None:
-            if cb.params is not None and cb.params.Z is not None:
-                Z = cb.params.Z
-            else:
-                raise ParameterError(
-                    "--threshold is required when the codebook carries none")
+            raise ParameterError("--threshold is required when the codebook carries none")
         report = tracer.trace(cb, y, Z)
     with _out_stream(args.out) as fh:
         report.to_csv(fh)
@@ -179,8 +162,7 @@ def cmd_search(args):
     if args.eps2 is None and args.ratio is None:
         raise ParameterError("give --eps2 or --ratio")
     eps2 = args.eps2 if args.ratio is None else bounds.eps2_for_ratio(args.eps1, args.ratio)
-    res = bounds.search_min_A(args.c0, args.eps1, eps2, args.iterations,
-                              args.seed)
+    res = bounds.search_min_A(args.c0, args.eps1, eps2, args.iterations, args.seed)
     with _out_stream(args.out) as fh:
         for name in ("A", "B", "t", "L", "alpha1", "alpha2", "c0", "R",
                      "iterations_used"):
@@ -189,9 +171,8 @@ def cmd_search(args):
 
 
 def cmd_table(args):
-    table = bounds.emit_search_table(args.c0_list, args.ratio_list,
-                                     args.iterations, args.seed,
-                                     eps1=args.eps1)
+    table = bounds.emit_search_table(args.c0_list, args.ratio_list, args.iterations,
+                                     args.seed, eps1=args.eps1)
     with _out_stream(args.out) as fh:
         table.to_csv(fh)
     return 0
@@ -210,34 +191,28 @@ def cmd_predict(args):
     sys.stdout.write(f"strategy-specific m_min = {mmin!r} (evaluated at m = {m})\n")
     if args.out is not None:
         with _out_stream(args.out) as fh:
-            heads, rows = [], []
-            for head, row in (summary.csv_row(), plan.csv_row(), clt.csv_row()):
-                heads.append(head)
-                rows.append(row)
-            heads.append("m_min_strategy,m_eval,Z_eval_low,Z_eval_high")
-            rows.append(f"{mmin!r},{m},{interval.low!r},{interval.high!r}")
+            heads, rows = zip(summary.csv_row(), plan.csv_row(), clt.csv_row(),
+                              ("m_min_strategy,m_eval,Z_eval_low,Z_eval_high",
+                               f"{mmin!r},{m},{interval.low!r},{interval.high!r}"))
             fh.write(",".join(heads) + "\n" + ",".join(rows) + "\n")
     return 0
 
 
 def cmd_simulate(args):
     t = _cutoff(args)
-    if args.length is not None and args.threshold is not None:
-        m, Z = args.length, args.threshold
-    elif args.length is None and args.threshold is None:
-        plan = gaussian.conservative_plan(args.c0, args.c0 * t, args.eps1, args.eps2)
+    if (args.length is None) != (args.threshold is None):
+        raise ParameterError("--length and --threshold must be given together")
+    m, Z = args.length, args.threshold
+    if m is None:
+        plan = _plan(args, t)
         m, Z = plan.m, plan.Z
         log.info("plan: m=%d Z=%r", m, Z)
-    else:
-        raise ParameterError("--length and --threshold must be given together")
     c = args.coalition if args.coalition is not None else args.c0
     params = SchemeParams(n=max(args.innocents, 1), m=m, c0=args.c0,
                           eps1=args.eps1, eps2=args.eps2, t=t, Z=Z)
-    cfg = simulate.SimConfig(params=params, strategy=_strategy(args), c=c,
-                             trials=args.trials,
-                             innocents_per_trial=args.innocents,
-                             seed=args.seed, threads=args.threads,
-                             histogram_bins=args.bins)
+    cfg = simulate.SimConfig(params=params, strategy=_strategy(args), c=c, trials=args.trials,
+                             innocents_per_trial=args.innocents, seed=args.seed,
+                             threads=args.threads, histogram_bins=args.bins)
     report = simulate.run(cfg)
     sys.stdout.write(
         f"fp_hat = {report.fp_hat!r} ci99 = "
@@ -265,7 +240,7 @@ def cmd_simulate(args):
 
 def _add_common(sub, *flags):
     if "c0" in flags:
-        sub.add_argument("--c0", type=_c0, default=None,
+        sub.add_argument("--c0", type=_positive_int, default=None,
                          help="design coalition size")
     if "eps" in flags:
         sub.add_argument("--eps1", type=float, default=None,
@@ -314,7 +289,7 @@ def build_parser():
 
     a = subs.add_parser("attack", help="forge a pirate copy from a coalition")
     a.add_argument("--codebook", required=True)
-    a.add_argument("--users", type=_int_list, required=True,
+    a.add_argument("--users", type=_list_of(int, "integer"), required=True,
                    help="comma-separated coalition user ids")
     _add_common(a, "strategy")
     a.add_argument("--out", required=True, help="output pirate-copy path ('-' stdout)")
@@ -330,7 +305,7 @@ def build_parser():
 
     s = subs.add_parser("search", help="randomized search for the smallest "
                                        "length coefficient")
-    s.add_argument("--c0", type=_c0, required=True)
+    s.add_argument("--c0", type=_positive_int, required=True)
     s.add_argument("--eps1", type=float, default=1e-10)
     s.add_argument("--eps2", type=float, default=None)
     s.add_argument("--ratio", type=float, default=None,
@@ -340,8 +315,8 @@ def build_parser():
     s.set_defaults(func=cmd_search)
 
     tb = subs.add_parser("table", help="search over a grid of (ratio, c0) cells")
-    tb.add_argument("--c0-list", type=_c0_list, required=True)
-    tb.add_argument("--ratio-list", type=_float_list, required=True)
+    tb.add_argument("--c0-list", type=_list_of(_positive_int, "positive integer"), required=True)
+    tb.add_argument("--ratio-list", type=_list_of(float, "number"), required=True)
     tb.add_argument("--iterations", type=_positive_int, required=True)
     tb.add_argument("--eps1", type=float, default=1e-10)
     tb.add_argument("--out", default="-")
@@ -349,13 +324,13 @@ def build_parser():
 
     p = subs.add_parser("predict", help="moment, length, threshold, and "
                                         "normal-range report")
-    p.add_argument("--c0", type=_c0, required=True)
+    p.add_argument("--c0", type=_positive_int, required=True)
     p.add_argument("--coalition", "-c", type=_positive_int, default=None,
                    help="actual coalition size (default c0)")
     p.add_argument("--cutoff", type=float, default=None)
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--length", "-m", type=_c0, default=None,  # within the --c0 bound
+    p.add_argument("--length", "-m", type=_positive_int, default=None,
                    help="evaluate the threshold interval at this length")
     _add_common(p, "strategy")
     p.add_argument("--out", default=None, help="also write a one-row CSV here")
@@ -363,7 +338,7 @@ def build_parser():
 
     si = subs.add_parser("simulate", help="Monte Carlo false-positive/negative "
                                           "rate estimation")
-    si.add_argument("--c0", type=_c0, required=True)
+    si.add_argument("--c0", type=_positive_int, required=True)
     si.add_argument("--coalition", "-c", type=_positive_int, default=None)
     si.add_argument("--cutoff", type=float, default=None)
     si.add_argument("--eps1", type=float, required=True)
@@ -380,6 +355,24 @@ def build_parser():
     si.set_defaults(func=cmd_simulate)
 
     return parser
+
+
+# The option (by dest) that feeds a library argument (ParameterError.param) where
+# the names differ; a subcommand's own entries come first.
+_DESTS = {"cutoff t": "cutoff", "tau": "cutoff", "m": "length", "Z": "threshold",
+          "ratio R": "ratio", "histogram_bins": "bins", "c": "coalition",
+          "coalition size c": "coalition", "psi table": "psi_csv", "pirate copy": "pirate",
+          "coalition rows": "users", "user indices": "users"}
+_COMMAND_DESTS = {"table": {"c0": "c0_list", "ratio R": "ratio_list"},
+                  "attack": {"coalition size c": "users"}}
+
+
+def _flag(args, param):
+    """The flag of the running subcommand that fed library argument ``param``, or None."""
+    dest = _COMMAND_DESTS.get(args.command, {}).get(param, _DESTS.get(param, param))
+    if dest == "coalition" and getattr(args, "coalition", None) is None:
+        dest = "c0"  # the coalition size defaults to --c0
+    return "--" + dest.replace("_", "-") if dest and hasattr(args, dest) else None
 
 
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -405,22 +398,17 @@ def _apply_config_defaults(parser, path):
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} (no such option)")
     for sp in subparsers:
-        for action in sp._actions:
-            key = action.dest
-            if key in raw:
-                value = raw[key]
-                if isinstance(action.const, bool):
-                    converted = _BOOLEANS.get(str(value).lower())
-                    if converted is None:
-                        raise ValueError(f"{key}={value!r} is not a boolean "
-                                         "(1/true/yes/on or 0/false/no/off)")
-                elif action.type is not None:
-                    converted = action.type(str(value))
-                else:
-                    converted = str(value)
-                sp.set_defaults(**{key: converted})
-                if action.required:
-                    action.required = False
+        for action in (a for a in sp._actions if a.dest in raw):
+            key, value = action.dest, raw[action.dest]
+            if isinstance(action.const, bool):
+                if value.lower() not in _BOOLEANS:
+                    raise ValueError(f"{key}={value!r} is not a boolean "
+                                     "(1/true/yes/on or 0/false/no/off)")
+                value = _BOOLEANS[value.lower()]
+            elif action.type is not None:
+                value = action.type(value)
+            sp.set_defaults(**{key: value})
+            action.required = False
 
 
 def main(argv=None):
@@ -450,16 +438,15 @@ def main(argv=None):
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return 3
     except (ParameterError, CapacityError) as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
+        flag = _flag(args, getattr(exc, "param", None))
+        print(f"error: usage: {flag + ': ' if flag else ''}{exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:  # the CLI's integrals miss at tiny cutoffs
-        # tau = c0 * t must stay below 1/2, so a large c0 leaves no cutoff big
-        # enough for the integrals.
-        c0 = getattr(args, "c0", None)
-        bound = f" = {0.5 / c0:.3g}" if c0 else ""
-        print(f"error: usage: {exc}; the bias cutoff is too small: raise --cutoff "
-              f"(it must stay below 1/(2*c0){bound}) or, if no such cutoff works, "
-              f"lower --c0", file=sys.stderr)
+    except QuadratureError as exc:  # the model's integrals miss at tiny cutoffs
+        # tau = c0 * t must stay below 1/2, so a large c0 leaves no cutoff big enough.
+        bound = f" = {0.5 / args.c0:.3g}" if getattr(args, "c0", None) else ""
+        print(f"error: usage: {exc}; the bias cutoff is too small: raise --cutoff (it must "
+              f"stay below 1/(2*c0){bound}) or, if no such cutoff works, lower --c0",
+              file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as exc:  # includes codebook format errors
         print(f"error: i/o: {exc}", file=sys.stderr)

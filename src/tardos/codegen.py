@@ -250,12 +250,13 @@ def _unpack(packed, m):
 
 def _user_indices(indices, n):
     """An index list as int64, checked to be 1-d integers in 0..n-1 before the cast."""
-    raw = np.asarray(indices)
+    raw = _real_array(indices, None, "user indices")
     if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
-        raise ParameterError("user indices must form a 1-d list of integers")
+        raise ParameterError("user indices must form a 1-d list of integers", param="user indices")
     bad = raw[(raw < 0) | (raw >= n)]
     if bad.size:
-        raise ParameterError(f"user {bad[0]} outside 0..{n - 1}: index out of range")
+        raise ParameterError(f"user {bad[0]} outside 0..{n - 1}: index out of range",
+                             param="user indices")
     return raw.astype(np.int64)
 
 

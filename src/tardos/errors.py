@@ -12,7 +12,12 @@ class TardosError(Exception):
 
 
 class ParameterError(TardosError, ValueError):
-    """A value is outside its documented domain or inconsistent with others."""
+    """A value is outside its documented domain or inconsistent with others;
+    ``param`` (when known) names the argument whose value failed."""
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class QuadratureError(TardosError, ArithmeticError):

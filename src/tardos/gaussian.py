@@ -23,8 +23,8 @@ import numpy as np
 
 from .attacks import Strategy
 from .errors import ParameterError
-from .model import (_C0_MAX, QUAD_TOL, _check_cutoff, _check_rate, _integer, _quad, _real,
-                    default_cutoff, tprime)
+from .model import (_C0_MAX, QUAD_TOL, _check_cutoff, _check_rate, _integer, _positive, _quad,
+                    _real, _scalar_like, default_cutoff, tprime)
 
 __all__ = [
     "MomentSummary", "GaussianPlan", "ZInterval", "CltReport",
@@ -180,10 +180,7 @@ def _erfc_vec(x):
 
 def normal_cdf(x):
     """Standard normal CDF, vectorized; scalar in, scalar out."""
-    arr = _erfc_vec(np.asarray(x, dtype=np.float64) / -math.sqrt(2.0)) * 0.5
-    if np.isscalar(x) or getattr(x, "ndim", 0) == 0:
-        return float(arr)
-    return arr
+    return _scalar_like(x, _erfc_vec(np.asarray(x, dtype=np.float64) / -math.sqrt(2.0)) * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +230,7 @@ def moments(strategy, c, t=None, c0=None):
     """
     c = _integer(c, "coalition size c", 1)
     if c0 is not None and c > _integer(c0, "c0", 1, _C0_MAX):
-        raise ParameterError(f"coalition size {c} exceeds design size {c0}")
+        raise ParameterError(f"coalition size {c} exceeds c0 = {c0}", param="coalition size c")
     if t is None and c0 is None:
         raise ParameterError("either t or c0 is required")
     t = _check_cutoff(default_cutoff(c0) if t is None else t)
@@ -334,8 +331,7 @@ def z_interval(summary, m, eps1, eps2, c0):
     G as in :func:`m_min`. Empty (low > high) exactly when m < m_min; that is
     a valid flagged result, not an error.
     """
-    if not _real(m, "m") > 0:
-        raise ParameterError("m must be positive")
+    _positive(m, "m")
     _check_rate("eps1", eps1)
     _check_rate("eps2", eps2)
     root = math.sqrt(m)
@@ -385,7 +381,7 @@ def conservative_plan(c0, tau, eps1, eps2):
     """
     c0 = _integer(c0, "c0", 1, _C0_MAX)
     if not 0.0 <= _real(tau, "tau") < 0.5:
-        raise ParameterError("tau must lie in [0, 1/2)")
+        raise ParameterError("tau must lie in [0, 1/2)", param="tau")
     eps1, eps2 = _check_rate("eps1", eps1), _check_rate("eps2", eps2)
     bracket = erfc_inv(2.0 * eps1) + erfc_inv(2.0 * eps2) / math.sqrt(c0)
     try:
@@ -395,7 +391,8 @@ def conservative_plan(c0, tau, eps1, eps2):
             mreal = 2.0 * math.pi ** 2 / (1.0 - 2.0 * tau) ** 2 * c0 ** 2 * bracket ** 2
         m = math.ceil(mreal)
     except OverflowError:
-        raise ParameterError("c0 is too large: the length is beyond the float range") from None
+        raise ParameterError("c0 is too large: the length is beyond the float range",
+                             param="c0") from None
     if m > 0:
         low = math.sqrt(2.0 * m) * erfc_inv(2.0 * eps1)
         high = ((1.0 - 2.0 * tau) * m / (math.pi * c0)
@@ -448,7 +445,7 @@ def clt_report(c0, t=None, eps1=1e-10, m=None):
     if m is None:
         m = 2.0 * math.pi ** 2 * c0 ** 2 * math.log(1.0 / eps1)
     if not _real(m, "m") >= 1:
-        raise ParameterError("m must be at least 1")
+        raise ParameterError("m must be at least 1", param="m")
 
     tp = tprime(t)
     norm = 4.0 / (math.pi - 4.0 * tp)
@@ -459,7 +456,7 @@ def clt_report(c0, t=None, eps1=1e-10, m=None):
     kappa2 = e2  # the density is symmetric, so the mean vanishes
     kappa4 = e4 - 3.0 * e2 * e2
     if kappa4 <= 0.0:
-        raise ParameterError("fourth cumulant must be positive (t too large)")
+        raise ParameterError("fourth cumulant must be positive (t too large)", param="cutoff t")
     n_sigmas = (24.0 * kappa2 ** 2 / kappa4) ** 0.25 * m ** 0.25
     return CltReport(kappa2=kappa2, kappa4=kappa4, n_sigmas=n_sigmas,
                      required_sigmas=_gauss_tail_inv(eps1))

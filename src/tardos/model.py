@@ -43,7 +43,7 @@ _C0_MAX = math.isqrt(int(sys.float_info.max))
 
 
 def _as_prob_array(p, where):
-    arr = np.asarray(p, dtype=np.float64)
+    arr = _real_array(p, None, f"{where} p").astype(np.float64, copy=False)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise ParameterError(f"{where}: probabilities must lie strictly inside (0, 1)")
     return arr
@@ -74,9 +74,11 @@ def g0(p):
 def _integer(v, what, lo, hi=math.inf):
     """``v`` as an int, checked before the cast to be a Python or numpy
     integer, not a bool, in [lo, hi]: the one check of every count, size,
-    seed and thread count a caller passes."""
+    seed and thread count a caller passes. Like every check below, it names
+    ``what`` in its message and as ``ParameterError.param``."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= int(v) <= hi:
-        raise ParameterError(f"{what} must be an integer in [{lo}, {hi}]")
+        bound = hi if hi < 1e20 else f"{hi:.3g}"
+        raise ParameterError(f"{what} must be an integer in [{lo}, {bound}]", param=what)
     return int(v)
 
 
@@ -86,15 +88,23 @@ def _real(v, what):
     caller checks the range."""
     if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
             or isinstance(v, int) and abs(v) > sys.float_info.max):
-        raise ParameterError(f"{what} must be a real number")
+        raise ParameterError(f"{what} must be a real number", param=what)
     return float(v)
+
+
+def _positive(v, what):
+    """``v`` as a float in (0, inf), checked by :func:`_real`."""
+    v = _real(v, what)
+    if not 0.0 < v < math.inf:
+        raise ParameterError(f"{what} must be positive and finite", param=what)
+    return v
 
 
 def _check_rate(name, v):
     """``v`` as a float in (0, 1), naming it; NaN is rejected too."""
     v = _real(v, name)
     if not 0.0 < v < 1.0:
-        raise ParameterError(f"{name} must lie in (0, 1)")
+        raise ParameterError(f"{name} must lie in (0, 1)", param=name)
     return v
 
 
@@ -102,17 +112,30 @@ def _check_cutoff(t):
     """``t`` as a float in (0, 1/2): the one check of a bias cutoff."""
     t = _real(t, "cutoff t")
     if not 0.0 < t < 0.5:
-        raise ParameterError("cutoff t must lie in (0, 1/2)")
+        raise ParameterError("cutoff t must lie in (0, 1/2)", param="cutoff t")
     return t
 
 
+def _check_tau(c0, t):
+    """tau = c0 * t, checked below 1/2 after c0 and t: the one check of a (c0, t) pair."""
+    c0, t = _integer(c0, "c0", 1, _C0_MAX), _check_cutoff(t)
+    if c0 * t >= 0.5:
+        raise ParameterError("tau = c0 * t must stay below 1/2, that is t below "
+                             f"1/(2*c0) = {0.5 / c0:.3g}", param="tau")
+    return c0 * t
+
+
 def _real_array(x, ndim, what):
-    """``np.asarray(x)``, uncast, checked to be ``ndim``-d with no empty axis
-    and of bool, int, uint or real float dtype."""
-    raw = np.asarray(x)
-    if raw.ndim != ndim or 0 in raw.shape or raw.dtype.kind not in "biuf":
-        raise ParameterError(f"{what} must be a nonempty {ndim}-d array of bool, int or "
-                             "real values")
+    """``np.asarray(x)``, uncast, checked to be rectangular, of bool, int, uint or
+    real float dtype and, unless ``ndim`` is None, ``ndim``-d with no empty axis."""
+    try:
+        raw = np.asarray(x)
+    except ValueError:  # a ragged nested list
+        raw = None
+    if (raw is None or raw.dtype.kind not in "biuf"
+            or ndim is not None and (raw.ndim != ndim or 0 in raw.shape)):
+        shape = "a rectangular array" if ndim is None else f"a nonempty {ndim}-d array"
+        raise ParameterError(f"{what} must be {shape} of bool, int or real values", param=what)
     return raw
 
 
@@ -121,7 +144,7 @@ def _bits(x, ndim, what):
     0 and 1 before the cast: the one check of every bit array a caller passes."""
     raw = _real_array(x, ndim, what)
     if not ((raw == 0) | (raw == 1)).all():
-        raise ParameterError(f"{what} must be binary")
+        raise ParameterError(f"{what} must be binary", param=what)
     return raw.astype(np.uint8)
 
 
@@ -155,8 +178,8 @@ class BiasDistribution:
             raise ParameterError(f"unknown bias distribution kind {self.kind!r}")
         _check_cutoff(self.t)
         if self.kind == BETA:
-            if self.a is None or self.b is None or self.a <= 0.0 or self.b <= 0.0:
-                raise ParameterError("beta_family requires shape parameters a > 0 and b > 0")
+            for name in ("a", "b"):
+                _positive(getattr(self, name), f"beta_family shape {name}")
         elif self.a is not None or self.b is not None:
             raise ParameterError("tardos_arcsine takes no shape parameters")
 
@@ -304,20 +327,18 @@ class SchemeParams:
     B: float | None = None
 
     def __post_init__(self):
-        for name, hi in (("n", math.inf), ("m", math.inf), ("c0", _C0_MAX)):
-            _integer(getattr(self, name), name, 1, hi)
+        for name in ("n", "m"):
+            _integer(getattr(self, name), name, 1)
+        _check_tau(self.c0, self.t)
         _check_rate("eps1", self.eps1)
         _check_rate("eps2", self.eps2)
-        if self.c0 * _check_cutoff(self.t) >= 0.5:
-            raise ParameterError("tau = c0 * t must stay below 1/2")
         for name in ("A", "B"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < _real(v, name) < math.inf:
-                raise ParameterError(f"{name} must be positive when given")
+            if getattr(self, name) is not None:
+                _positive(getattr(self, name), name)
         # Z is any real threshold; deployments use Z > 0, but degenerate
         # thresholds are meaningful in tests and simulations.
         if self.Z is not None and math.isnan(_real(self.Z, "Z")):
-            raise ParameterError("Z must not be NaN")
+            raise ParameterError("Z must not be NaN", param="Z")
 
     @classmethod
     def from_coefficients(cls, n, c0, eps1, eps2, A, B, t=None):
@@ -325,9 +346,7 @@ class SchemeParams:
 
         m = ceil(A * c0^2 * ceil(ln(1/eps1))), Z = B * c0 * ceil(ln(1/eps1)).
         """
-        c0, A, B = _integer(c0, "c0", 1, _C0_MAX), _real(A, "A"), _real(B, "B")
-        if not (0.0 < A < math.inf and 0.0 < B < math.inf):
-            raise ParameterError("A and B must be positive")
+        c0, A, B = _integer(c0, "c0", 1, _C0_MAX), _positive(A, "A"), _positive(B, "B")
         if t is None:
             t = default_cutoff(c0)
         lc = _ln_ceil(_check_rate("eps1", eps1))
@@ -388,11 +407,9 @@ class DerivedConstants:
 
     @classmethod
     def from_scheme(cls, t, c0, dist=None, g1_choice="tardos"):
+        tau = _check_tau(c0, t)
         if dist is None:
             dist = BiasDistribution(ARCSINE, t=t)
         elif abs(dist.t - t) > _SUPPORT_SLOP:
             raise ParameterError("distribution cutoff disagrees with t")
-        tau = c0 * t
-        if not 0.0 < tau < 0.5:
-            raise ParameterError("tau = c0 * t must lie in (0, 1/2)")
         return cls(tau=tau, tprime=tprime(t), nu=nu(dist, g1_choice))

@@ -46,10 +46,8 @@ _KS_CHUNK = 1 << 16
 
 def wilson_interval(successes, n, z=_WILSON_Z):
     """Wilson score interval for a binomial rate; well-behaved at 0 and n."""
-    if n < 1:
-        raise ParameterError("need at least one observation")
-    if not 0 <= successes <= n:
-        raise ParameterError("successes must lie in [0, n]")
+    n = _integer(n, "n", 1)
+    successes = _integer(successes, "successes", 0, n)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom

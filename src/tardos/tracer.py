@@ -50,7 +50,8 @@ class PirateCopy:
     def from_text(cls, text):
         chars = [ch for ch in text if not ch.isspace()]
         if not chars or any(ch not in "01" for ch in chars):
-            raise ParameterError("pirate copy text must contain only 0/1 and whitespace")
+            raise ParameterError("pirate copy text must contain only 0/1 and whitespace",
+                                 param="pirate copy")
         return cls(bits=np.frombuffer("".join(chars).encode(), dtype=np.uint8) - ord("0"))
 
 
@@ -67,7 +68,7 @@ def _score_pieces(yb, p):
     score is base + <row restricted to the mask, w>.
     """
     if yb.size != p.size:
-        raise ParameterError("pirate copy length disagrees with bias length")
+        raise ParameterError("pirate copy length disagrees with bias length", param="pirate copy")
     mask = yb == 1
     p1 = p[mask]
     w = g1(p1) - g0(p1)
@@ -153,7 +154,7 @@ def trace(cb, y, Z, threads=1, coalition=None):
     collective sum as well: the sum of their scores, so a file is read once.
     """
     if math.isnan(_real(Z, "threshold")):
-        raise ParameterError("threshold must be a real number or +/-inf")
+        raise ParameterError("threshold must be a real number or +/-inf", param="threshold")
     idx = None if coalition is None else _user_indices(coalition, cb.n)
     p = cb.bias.p
     mask, w, base = _score_pieces(_bits_of(y), p)

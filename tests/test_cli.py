@@ -1,5 +1,7 @@
 """Command line interface: pipelines, formats, determinism, exit codes."""
 
+import argparse
+import functools
 import json
 import math
 import os
@@ -500,6 +502,81 @@ class TestExitCodes:
         if not cutoff:
             assert "1/(2*c0) = 2.71e-20" in res.err and "--c0" in res.err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["search", "--c0", "4", "--eps1", "0", "--ratio", "0.1", "--iterations", "10"],
+         "error: usage: --eps1: eps1 must lie in (0, 1)"),
+        (["table", "--c0-list", f"3,{10 ** 400}", "--ratio-list", ".1", "--iterations", "10"],
+         "error: usage: --c0-list: c0 must be an integer in [1, 1.34e+154]"),
+        (["table", "--c0-list", "3", "--ratio-list", ".1,-1", "--iterations", "10"],
+         "error: usage: --ratio-list: ratio R = ln(eps2)/ln(eps1) = -1.0 must be positive"),
+        (["search", "--c0", "3", "--ratio", "-1", "--iterations", "10"],
+         "error: usage: --ratio: ratio R"),
+        (["predict", "--c0", "4", "--eps1", ".1", "--eps2", ".3", "--coalition", "5"],
+         "error: usage: --coalition: coalition size 5 exceeds c0 = 4"),
+        (["predict", "--c0", str(10 ** 30), "--eps1", ".1", "--eps2", ".3"],
+         "error: usage: --c0: coalition size c must be an integer in [1, 1000000]"),
+        (["simulate", "--c0", "4", "--eps1", ".1", "--eps2", ".3", "--trials", "1",
+          "--cutoff", "0.2"], "error: usage: --cutoff: tau = c0 * t must stay below 1/2"),
+        (["simulate", "--c0", "4", "--eps1", ".1", "--eps2", ".3", "--trials", "1",
+          "--length", "10", "--threshold", "nan"], "error: usage: --threshold: Z must not be NaN"),
+        (["predict", "--c0", "2", "--eps1", ".1", "--eps2", ".3", "--strategy", "bogus"],
+         "error: usage: --strategy: unknown strategy kind 'bogus'"),
+    ])
+    def test_usage_error_names_the_flag_before_the_library_message(self, run_cli, argv, line):
+        res = run_cli(argv)
+        assert res.code == 2
+        assert line in res.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--users", "0,99"], "--users"),
+        (["--users", "0,1,1"], "--users"),
+        (["--users", "0,1,2", "--psi-csv", "PSI"], "--users"),  # a table for c = 2
+        (["--users", "0,1", "--strategy", "bogus"], "--strategy"),
+    ])
+    def test_attack_usage_error_names_the_flag(self, codebook_path, tmp_path, run_cli, argv,
+                                               flag):
+        psi = tmp_path / "psi.csv"
+        psi.write_text("0,0\n1,0.5\n2,1\n")
+        res = run_cli(["attack", "--codebook", str(codebook_path), "--out", str(tmp_path / "y")]
+                      + [str(psi) if a == "PSI" else a for a in argv])
+        assert res.code == 2
+        assert f"error: usage: {flag}" in res.err
+
+    @pytest.mark.parametrize("text", ["0,0\n1,x\n", "0,0\n1\n", "0,0\n0,1\n", "x,psi\n",
+                                      "0,0\n2,1\n", "0,0\n1,2\n"])
+    def test_bad_psi_csv_names_the_flag(self, tmp_path, run_cli, text):
+        psi = tmp_path / "psi.csv"
+        psi.write_text(text)
+        res = run_cli(["predict", "--c0", "1", "--eps1", "0.01", "--eps2", "0.25",
+                       "--psi-csv", str(psi)])
+        assert res.code == 2, res.err
+        assert "error: usage: --psi-csv: psi" in res.err
+
+    @pytest.mark.parametrize("pirate, line", [("0101", "--pirate: pirate copy length"),
+                                              ("01x", "--pirate: pirate copy text"),
+                                              ("", "--pirate: pirate copy text")])
+    def test_trace_usage_error_names_the_flag(self, codebook_path, tmp_path, run_cli, pirate,
+                                              line):
+        path = tmp_path / "y.txt"
+        path.write_text(pirate)
+        res = run_cli(["trace", "--codebook", str(codebook_path), "--pirate", str(path)])
+        assert res.code == 2
+        assert f"error: usage: {line}" in res.err
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--users", "3", "--out", "unused.bin"],
+        ["simulate", "--trials", "1"],
+    ])
+    def test_plan_of_length_0_names_the_rate_flags(self, run_cli, tmp_path, command):
+        # Both targets above 1/2 need no code at all; the plan must not go on
+        # to a length check that would blame --length, which was not given.
+        out = tmp_path / "unused.bin"
+        res = run_cli([str(out) if a == "unused.bin" else a for a in command]
+                      + ["--c0", "4", "--eps1", "0.6", "--eps2", "0.7"])
+        assert res.code == 2
+        assert "--eps1 0.6 and --eps2 0.7" in res.err and "--length" not in res.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, c0, ratio", [(7, 1, 0.3), (42, 1, 1.0), (7, 80, 0.01)])
     def test_search_cap_winner_exits_0(self, run_cli, seed, c0, ratio):
         res = run_cli(["--seed", str(seed), "search", "--c0", str(c0), "--ratio", str(ratio),
@@ -680,6 +757,21 @@ def fuzz_files(tmp_path_factory):
     return {**files, "dir": d, "book": str(book)}
 
 
+@functools.lru_cache(maxsize=None)
+def _parsers():
+    """The global parser and its subcommand parsers by name."""
+    parser = cli_module.build_parser()
+    return parser, next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags_of(argv):
+    """The flags of the global parser and of the subcommand ``argv`` runs."""
+    parser, subs = _parsers()
+    command = subs[next(a for a in argv if a in subs)]
+    return {s for p in (parser, command) for a in p._actions for s in a.option_strings}
+
+
 class TestCliFuzz:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -689,3 +781,7 @@ class TestCliFuzz:
         res = run_cli(argv)
         assert res.code in (0, 2, 3, 4), res.err
         assert "Traceback" not in res.err
+        if res.code == 2:  # a usage error names a flag of its subcommand, or a budget
+            line = [ln for ln in res.err.splitlines() if "error:" in ln][-1]
+            assert (set(re.findall(r"--[a-z0-9-]+", line)) & _flags_of(argv)
+                    or "budget" in line), line

@@ -1,8 +1,9 @@
 """Malformed arrays and scalars at the public API: each entry point that
-takes bits, user indices, real arrays, counts, seeds, thread counts, rates or
-cutoffs raises ParameterError, never another exception and never a silent
-cast, and a bool, int or float array of 0 and 1 gives exactly the result of
-its uint8 copy."""
+takes bits, user indices, real arrays, probabilities, counts, seeds, thread
+counts, rates, cutoffs or shape constants raises ParameterError, never
+another exception and never a silent cast, and a bool, int or float array of
+0 and 1 gives exactly the result of its uint8 copy. Ragged nested lists are
+malformed too."""
 
 import math
 import os
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tardos import (ARCSINE, BiasDistribution, ParameterError, SchemeParams, Strategy,
-                    check_tardos_condition, clt_report, conservative_plan, default_cutoff,
-                    forge, moments, search_min_A, strategy_psi, tprime)
+from tardos import (ARCSINE, BETA, BiasDistribution, DerivedConstants, GeneralConditionInputs,
+                    ParameterError, SchemeParams, Strategy, check_tardos_condition, clt_report,
+                    conservative_plan, default_cutoff, forge, g0, g1, length_window, moments,
+                    search_min_A, strategy_psi, tprime, wilson_interval)
 from tardos.codegen import BiasVector, gen_matrix, generate_codebook, sample_bias
 from tardos.model import _C0_MAX
 from tardos.rng import check_seed
@@ -28,6 +30,15 @@ Y = np.array([0, 1, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
 # Values that are not bits; 256 and -1 wrap to 0 and 255 when cast to uint8.
 BAD_VALUES = [2, 1.7, -1, 256, math.nan, math.inf, -math.inf]
 VALID_DTYPES = [bool, np.int8, np.int64, np.uint16, np.float32, np.float64]
+
+
+def ragged(values):
+    """The nested list of ``values`` with its first scalar wrapped in a list,
+    which numpy cannot make rectangular."""
+    out = np.asarray(values).tolist()
+    inner = out if np.ndim(values) == 1 else out[0]
+    inner[0] = [inner[0]]
+    return out
 
 
 def _shape(ndim):
@@ -48,7 +59,9 @@ def bit_arrays(draw, ndim):
 def malformed_bits(draw, ndim):
     """An array or list that no bit-array entry point may accept."""
     bits = draw(bit_arrays(ndim))
-    kind = draw(st.sampled_from(["value", "dtype", "ndim", "empty"]))
+    kind = draw(st.sampled_from(["value", "dtype", "ndim", "empty", "ragged"]))
+    if kind == "ragged":
+        return ragged(bits)
     if kind == "value":
         bad = draw(st.sampled_from(BAD_VALUES))
         dtype = np.int64 if float(bad).is_integer() else np.float64
@@ -104,7 +117,7 @@ INDEX_ENTRIES = {
     "trace coalition": lambda idx: trace(BOOK, Y, Z=0.0, coalition=idx).coalition_score,
 }
 BAD_INDICES = [[1.7], [1.0], [-1], [BOOK.n], [math.nan], [math.inf], ["1"], [1j], [True],
-               np.array([1], dtype=object), 1, [[1]]]
+               np.array([1], dtype=object), 1, [[1]], [[1], [1, 2]], [1, [2]]]
 
 
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
@@ -127,8 +140,10 @@ class TestUserIndices:
 @st.composite
 def malformed_reals(draw, valid):
     """An array or list that breaks ``valid`` (a good 1-d real array) by value,
-    dtype, ndim or emptiness."""
-    kind = draw(st.sampled_from(["value", "dtype", "ndim", "empty"]))
+    dtype, ndim, emptiness or raggedness."""
+    kind = draw(st.sampled_from(["value", "dtype", "ndim", "empty", "ragged"]))
+    if kind == "ragged":
+        return ragged(valid)
     if kind == "value":
         out = np.array(valid, dtype=np.float64)
         out[draw(st.integers(0, out.size - 1))] = draw(st.sampled_from(BAD_VALUES))
@@ -159,6 +174,31 @@ class TestRealArrays:
     def test_list_and_array_agree(self, entry):
         valid, call = REAL_ENTRIES[entry]
         assert np.array_equal(call(valid), call(np.array(valid)))
+
+
+# Probabilities in (0, 1), of any shape: a string is not cast to a number.
+PROB_ENTRIES = {
+    "g1": g1,
+    "g0": g0,
+    "bias density": BiasDistribution(ARCSINE, t=0.01).density,
+}
+BAD_PROBS = ["0.5", b"0.5", ["0.5", "0.2"], np.array(["0.5"]), None, 0.5j, [0.5j],
+             np.array([0.5], dtype=object), [[0.1], [0.2, 0.3]], [0.1, [0.2]], 0.0, 1.0,
+             math.nan, [0.5, math.inf]]
+
+
+@pytest.mark.parametrize("entry", sorted(PROB_ENTRIES))
+@pytest.mark.parametrize("bad", BAD_PROBS, ids=repr)
+def test_malformed_probability_raises_parameter_error(entry, bad):
+    with pytest.raises(ParameterError):
+        PROB_ENTRIES[entry](bad)
+
+
+def test_probabilities_of_any_real_dtype_agree():
+    p = np.array([0.25, 0.5, 0.75])
+    assert g1(0.5) == 1.0 and isinstance(g1(np.float32(0.5)), float)
+    assert np.array_equal(g0(p.tolist()), g0(p))
+    assert np.array_equal(g1(p.astype(np.float32)), g1(p.astype(np.float32).astype(np.float64)))
 
 
 PARAMS = SchemeParams(n=10, m=100, c0=3, eps1=0.1, eps2=0.1, t=0.01, Z=5.0)
@@ -226,6 +266,16 @@ def sim(**kw):
                                innocents_per_trial=3, seed=0), **kw})
 
 
+def window(**kw):
+    return length_window(**{**dict(nu=1.0, L=3.0, alpha2=2e-3, c0=4, eps1=1e-10, eps2=1e-2),
+                            **kw})
+
+
+def condition(**kw):
+    return GeneralConditionInputs(**{**dict(dist=BiasDistribution(ARCSINE, t=0.01), c=3,
+                                            alpha2=1e-3, L=1.0), **kw})
+
+
 SCALAR_ENTRIES = {
     "check_seed": (check_seed, not_integers(*SEEDS)),
     "forge seed": (lambda v: forge([[0, 1], [1, 1]], "interleave", seed=v),
@@ -279,6 +329,25 @@ SCALAR_ENTRIES = {
     "clt_report t": (lambda v: clt_report(4, t=v), optional(not_reals(0.0, 0.5))),
     "trace Z": (lambda v: trace(BOOK, Y, Z=v),
                 st.sampled_from(NOT_NUMBERS + [math.nan, 10 ** 400])),
+    "length_window nu": (lambda v: window(nu=v), not_reals(0.0, math.inf)),
+    "length_window L": (lambda v: window(L=v), not_reals(0.0, math.inf)),
+    "length_window alpha2": (lambda v: window(alpha2=v), not_reals(0.0, math.inf)),
+    "length_window c0": (lambda v: window(c0=v), not_integers(1, _C0_MAX)),
+    "length_window B": (lambda v: window(B=v), optional(not_reals(0.0, math.inf))),
+    "wilson_interval successes": (lambda v: wilson_interval(v, 10), not_integers(0, 10)),
+    "wilson_interval n": (lambda v: wilson_interval(1, v), not_integers(1, math.inf)),
+    "BiasDistribution a": (lambda v: BiasDistribution(BETA, t=0.01, a=v, b=1.0),
+                           not_reals(0.0, math.inf)),
+    "BiasDistribution b": (lambda v: BiasDistribution(BETA, t=0.01, a=1.0, b=v),
+                           not_reals(0.0, math.inf)),
+    "GeneralConditionInputs c": (lambda v: condition(c=v), not_integers(1, math.inf)),
+    "GeneralConditionInputs alpha2": (lambda v: condition(alpha2=v), not_reals(0.0, math.inf)),
+    "GeneralConditionInputs L": (lambda v: condition(L=v), not_reals(0.0, math.inf)),
+    "GeneralConditionInputs beta": (lambda v: condition(beta=v), not_reals(0.0, 1.0)),
+    "DerivedConstants.from_scheme t": (lambda v: DerivedConstants.from_scheme(v, 4),
+                                       not_reals(0.0, 0.5)),
+    "DerivedConstants.from_scheme c0": (lambda v: DerivedConstants.from_scheme(0.01, v),
+                                        not_integers(1, _C0_MAX)),
 }
 
 

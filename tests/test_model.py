@@ -22,7 +22,8 @@ from tardos import (
     nu,
     tprime,
 )
-from tardos.model import _integer, _real, parse_kv_text
+from tardos.model import (_check_cutoff, _check_rate, _check_tau, _integer, _real,
+                          parse_kv_text)
 
 
 class TestWeights:
@@ -120,6 +121,34 @@ class TestScalarChecks:
     def test_real_rejects_what_is_not_a_real(self, v):
         with pytest.raises(ParameterError, match="eps1"):
             _real(v, "eps1")
+
+    @pytest.mark.parametrize("call, param", [
+        (lambda: _integer(0, "threads", 1), "threads"),
+        (lambda: _real("x", "ratio R"), "ratio R"),
+        (lambda: _check_rate("eps2", 1.0), "eps2"),
+        (lambda: _check_cutoff(0.5), "cutoff t"),
+        (lambda: _check_tau(4, 0.2), "tau"),
+        (lambda: SchemeParams(n=1, m=1, c0=3, eps1=0.1, eps2=0.1, t=0.01, Z=math.nan), "Z"),
+    ])
+    def test_each_check_names_its_argument_as_param(self, call, param):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert info.value.param == param and param in str(info.value)
+
+    def test_param_defaults_to_none(self):
+        assert ParameterError("bad").param is None
+
+    def test_a_huge_bound_is_printed_readably(self):
+        with pytest.raises(ParameterError) as info:
+            default_cutoff(10 ** 400)
+        assert str(info.value) == "c0 must be an integer in [1, 1.34e+154]"
+        with pytest.raises(ParameterError, match=r"\[0, 18446744073709551615\]"):
+            _integer(-1, "seed", 0, 2 ** 64 - 1)
+
+    def test_tau_check_gives_the_largest_cutoff(self):
+        assert _check_tau(4, 0.1) == pytest.approx(0.4)
+        with pytest.raises(ParameterError, match=r"1/\(2\*c0\) = 0.125"):
+            _check_tau(4, 0.125)
 
 
 class TestBiasDistribution:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import _bits, _integer, _real_array
+from .model import _bits, _integer, _probs, _real_array
 from .rng import TAG_FORGE, stream
 from .tracer import PirateCopy
 
@@ -62,11 +62,9 @@ class Strategy:
 
     def __post_init__(self):
         _integer(self.c, "coalition size c", 1, _MAX_C)
-        table = _real_array(self.psi, 1, "psi table").astype(np.float64)
+        table = _probs(self.psi, 1, "psi table", 0.0, 1.0)
         if table.size != self.c + 1:
             raise ParameterError("psi table must have length c + 1", param="psi table")
-        if not np.all(np.isfinite(table)) or table.min() < 0.0 or table.max() > 1.0:
-            raise ParameterError("psi values must be probabilities", param="psi table")
         if table[0] != 0.0 or table[self.c] != 1.0:
             raise ParameterError("marking condition: psi(0) = 0 and psi(c) = 1", param="psi table")
         object.__setattr__(self, "psi", tuple(float(v) for v in table))

@@ -284,8 +284,8 @@ def check_tardos_condition(c0, t, alpha2, L):
     """
     c0, t = _integer(c0, "c0", 1, _C0_MAX), _check_cutoff(t)
     _positive(L, "L")
-    if not _real(alpha2, "alpha2") >= 0.0:
-        raise ParameterError("alpha2 must be nonnegative", param="alpha2")
+    if not 0.0 <= _real(alpha2, "alpha2") < math.inf:
+        raise ParameterError("alpha2 must be nonnegative and finite", param="alpha2")
     if alpha2 == 0.0:
         return ConditionCheck(satisfied=False, slack=0.0)
     D = math.e * (c0 * alpha2 / 1.7) ** 2

@@ -37,9 +37,9 @@ import numpy as np
 
 from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
                      CodebookTruncatedError, CodebookVersionError, ParameterError)
-from .model import (_SUPPORT_SLOP, ARCSINE, BiasDistribution, SchemeParams, _check_cutoff,
-                    _integer, _real_array)
-from .rng import (TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
+from .model import (ARCSINE, BiasDistribution, SchemeParams, _check_cutoff, _integer, _probs,
+                    _real_array, _support)
+from .rng import (SEED_LIMIT, TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
                   stream, thresholds)
 
 MAGIC = b"TRDC"
@@ -174,7 +174,7 @@ def crc64(data, crc=0):
         buf = memoryview(data).cast("B")
     except TypeError:  # not a contiguous buffer, e.g. an iterable of ints
         buf = memoryview(bytes(data))
-    state = (crc ^ _CRC_MASK) & _CRC_MASK
+    state = _integer(crc, "crc", 0, _CRC_MASK) ^ _CRC_MASK
     words = len(buf) // 8
     lanes = _lane_count(words)
     done = 0
@@ -207,14 +207,9 @@ class BiasVector:
     t: float
 
     def __post_init__(self):
-        arr = _real_array(self.p, 1, "bias vector").astype(np.float64, copy=False)
+        arr = _probs(self.p, 1, "bias vector", *_support(_check_cutoff(self.t)))
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
-        _check_cutoff(self.t)
-        # The slop reaches past 0 and 1 at a tiny t; a bias never does.
-        lo, hi = max(self.t - _SUPPORT_SLOP, 0.0), min(1.0 - self.t + _SUPPORT_SLOP, 1.0)
-        if not np.all(np.isfinite(arr)) or arr.min() <= 0.0 or arr.min() < lo or arr.max() > hi:
-            raise ParameterError("bias values must lie within [t, 1-t]")
 
     @property
     def m(self):
@@ -250,11 +245,15 @@ def _unpack(packed, m):
 
 def _user_indices(indices, n):
     """An index list as int64, checked to be 1-d integers in 0..n-1 before the cast."""
-    raw = _real_array(indices, None, "user indices")
+    # A Python int beyond int64 is out of range before numpy makes an object
+    # or float array of it; the empty list then passes the checks below.
+    huge = isinstance(indices, (list, tuple)) and [
+        v for v in indices if isinstance(v, int) and abs(v) >= 2 ** 63]
+    raw = _real_array([] if huge else indices, None, "user indices")
     if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
         raise ParameterError("user indices must form a 1-d list of integers", param="user indices")
-    bad = raw[(raw < 0) | (raw >= n)]
-    if bad.size:
+    bad = huge or raw[(raw < 0) | (raw >= n)]
+    if len(bad):
         raise ParameterError(f"user {bad[0]} outside 0..{n - 1}: index out of range",
                              param="user indices")
     return raw.astype(np.int64)
@@ -278,6 +277,7 @@ def _check_dims(params, n, m):
 
 def row_bits(bias, seed, j):
     """Regenerate row ``j`` alone: Bernoulli(p_i) from stream (seed, row tag, j)."""
+    j = _integer(j, "j", 0, SEED_LIMIT - 1)
     gen = next(_stream_range(seed, TAG_ROW, j, j + 1))
     return bernoulli(gen, thresholds(bias.p), bias.m).astype(np.uint8)
 
@@ -297,6 +297,7 @@ class Codebook:
             raise ParameterError("rows must be a 2-d array of little-endian 64-bit words")
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if arr.shape[1] != _words_per_row(self.bias.m):
             raise ParameterError("packed row width disagrees with bias length")
         _check_dims(self.params, arr.shape[0], self.bias.m)
@@ -329,7 +330,7 @@ def _check_capacity(n, m, max_bits=DEFAULT_MAX_BITS):
     """``n`` as an int: a user count, checked by :func:`model._integer`, such
     that an n x m codebook and its m float64 biases fit in ``max_bits``."""
     n = _integer(n, "n", 1)
-    if (n + 64) * m > max_bits:
+    if (n + 64) * m > _integer(max_bits, "max_bits", 0):
         raise CapacityError(f"codebook of {n} x {m} bits plus {m} 64-bit biases "
                             f"exceeds the budget of {max_bits} bits")
     return n

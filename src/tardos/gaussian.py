@@ -24,7 +24,7 @@ import numpy as np
 from .attacks import Strategy
 from .errors import ParameterError
 from .model import (_C0_MAX, QUAD_TOL, _check_cutoff, _check_rate, _integer, _positive, _quad,
-                    _real, _scalar_like, default_cutoff, tprime)
+                    _real, _real_array, _scalar_like, default_cutoff, tprime)
 
 __all__ = [
     "MomentSummary", "GaussianPlan", "ZInterval", "CltReport",
@@ -49,7 +49,7 @@ def _erf_series(x):
     while True:
         contrib = term / (2 * n + 1)
         total += contrib
-        if abs(contrib) <= 1e-18 * abs(total):
+        if not abs(contrib) > 1e-18 * abs(total):  # NaN ends too
             return _TWO_OVER_SQRT_PI * total
         n += 1
         term *= -x * x / n
@@ -82,7 +82,7 @@ def _cf_denominator(x):
 
 def erfc(x):
     """Complementary error function, relative accuracy ~1e-14 on both tails."""
-    x = float(x)
+    x = _real(x, "x")
     if x > 1.5:
         return math.exp(-x * x) / _SQRT_PI / _cf_denominator(x)
     if x < -1.5:
@@ -92,7 +92,7 @@ def erfc(x):
 
 def log_erfc(x):
     """ln(erfc(x)) without underflow for large positive x."""
-    x = float(x)
+    x = _real(x, "x")
     if x > 1.5:
         return -x * x - math.log(_SQRT_PI * _cf_denominator(x))
     return math.log(erfc(x))
@@ -110,9 +110,9 @@ def erfc_inv(y):
     bracket the root, bisect, then polish with a few Newton steps. y = 1 maps
     to 0 and y > 1 uses the reflection erfc(-x) = 2 - erfc(x).
     """
-    y = float(y)
+    y = _real(y, "y")
     if not 0.0 < y < 2.0:
-        raise ParameterError(f"erfc_inv domain is (0, 2); got {y!r}")
+        raise ParameterError(f"erfc_inv domain is (0, 2); got {y!r}", param="y")
     if y == 1.0:
         return 0.0
     if y > 1.0:
@@ -149,7 +149,6 @@ _CF_DEPTH = 128  # fixed backward depth matching the adaptive fraction to ~1e-15
 
 def _erfc_vec(x):
     """Vectorized erfc over a float64 array; same branches as :func:`erfc`."""
-    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     small = np.abs(x) <= 1.5
     if small.any():
@@ -180,7 +179,8 @@ def _erfc_vec(x):
 
 def normal_cdf(x):
     """Standard normal CDF, vectorized; scalar in, scalar out."""
-    return _scalar_like(x, _erfc_vec(np.asarray(x, dtype=np.float64) / -math.sqrt(2.0)) * 0.5)
+    arr = _real_array(x, None, "x").astype(np.float64)
+    return _scalar_like(x, _erfc_vec(arr / -math.sqrt(2.0)) * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +334,7 @@ def z_interval(summary, m, eps1, eps2, c0):
     _positive(m, "m")
     _check_rate("eps1", eps1)
     _check_rate("eps2", eps2)
+    c0 = _integer(c0, "c0", 1, _C0_MAX)
     root = math.sqrt(m)
     low = summary.sigma_j_scaled * root * _gauss_tail_inv(eps1)
     high = (summary.mu_scaled / c0 * m
@@ -444,8 +445,8 @@ def clt_report(c0, t=None, eps1=1e-10, m=None):
     eps1 = _check_rate("eps1", eps1)
     if m is None:
         m = 2.0 * math.pi ** 2 * c0 ** 2 * math.log(1.0 / eps1)
-    if not _real(m, "m") >= 1:
-        raise ParameterError("m must be at least 1", param="m")
+    if not 1 <= _real(m, "m") < math.inf:
+        raise ParameterError("m must be finite and at least 1", param="m")
 
     tp = tprime(t)
     norm = 4.0 / (math.pi - 4.0 * tp)

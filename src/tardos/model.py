@@ -38,15 +38,12 @@ QUAD_TOL = 1e-10
 # values reconstructed through sin^2 round-trips can land an ulp outside.
 _SUPPORT_SLOP = 1e-12
 
+# The open bounds of (0, 1) as the nearest floats inside them: a float64 lies
+# in (0, 1) exactly when it lies in [_ABOVE_0, _BELOW_1].
+_ABOVE_0, _BELOW_1 = float(np.nextafter(0.0, 1.0)), float(np.nextafter(1.0, 0.0))
+
 # The largest design size c0 whose square is still a float: plans scale with c0^2.
 _C0_MAX = math.isqrt(int(sys.float_info.max))
-
-
-def _as_prob_array(p, where):
-    arr = _real_array(p, None, f"{where} p").astype(np.float64, copy=False)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
-        raise ParameterError(f"{where}: probabilities must lie strictly inside (0, 1)")
-    return arr
 
 
 def _scalar_like(p, out):
@@ -57,7 +54,7 @@ def _scalar_like(p, out):
 
 def g1(p):
     """Accusation weight for a matching 1-symbol: sqrt((1-p)/p)."""
-    arr = _as_prob_array(p, "g1")
+    arr = _probs(p, None, "p", _ABOVE_0, _BELOW_1)
     return _scalar_like(p, np.sqrt((1.0 - arr) / arr))
 
 
@@ -67,7 +64,7 @@ def g0(p):
     Equals -g1(1-p), and -g1(p) * p / (1-p); both identities are exercised by
     the test suite.
     """
-    arr = _as_prob_array(p, "g0")
+    arr = _probs(p, None, "p", _ABOVE_0, _BELOW_1)
     return _scalar_like(p, -np.sqrt(arr / (1.0 - arr)))
 
 
@@ -134,7 +131,8 @@ def _real_array(x, ndim, what):
         raw = None
     if (raw is None or raw.dtype.kind not in "biuf"
             or ndim is not None and (raw.ndim != ndim or 0 in raw.shape)):
-        shape = "a rectangular array" if ndim is None else f"a nonempty {ndim}-d array"
+        shape = ("a rectangular array" if ndim is None else "a scalar" if ndim == 0
+                 else f"a nonempty {ndim}-d array")
         raise ParameterError(f"{what} must be {shape} of bool, int or real values", param=what)
     return raw
 
@@ -146,6 +144,26 @@ def _bits(x, ndim, what):
     if not ((raw == 0) | (raw == 1)).all():
         raise ParameterError(f"{what} must be binary", param=what)
     return raw.astype(np.uint8)
+
+
+def _probs(x, ndim, what, lo, hi):
+    """``x`` as a float64 array, checked by :func:`_real_array`, not bool, and
+    with every value in [lo, hi], so not NaN: the one check of every
+    probability array a caller passes. ``_ABOVE_0`` and ``_BELOW_1`` stand
+    for the open bounds 0 and 1, and the message writes them so."""
+    raw = _real_array(x, ndim, what)
+    arr = raw.astype(np.float64, copy=False)
+    if raw.dtype.kind == "b" or arr.size and not lo <= arr.min() <= arr.max() <= hi:
+        left = "(0" if lo == _ABOVE_0 else f"[{lo:g}"
+        right = "1)" if hi == _BELOW_1 else f"{hi:g}]"
+        raise ParameterError(f"{what} must be real numbers in {left}, {right}", param=what)
+    return arr
+
+
+def _support(t):
+    """The bounds of :func:`_probs` for a bias with cutoff ``t``: [t, 1-t]
+    widened by ``_SUPPORT_SLOP`` and clipped into (0, 1]."""
+    return max(t - _SUPPORT_SLOP, _ABOVE_0), min(1.0 - t + _SUPPORT_SLOP, 1.0)
 
 
 def tprime(t):
@@ -191,14 +209,8 @@ class BiasDistribution:
     def symmetric(self):
         return self.kind == ARCSINE or self.a == self.b
 
-    def _check_support(self, arr, where):
-        lo, hi = self.support
-        if arr.size and (np.any(arr < lo - _SUPPORT_SLOP) or np.any(arr > hi + _SUPPORT_SLOP)):
-            raise ParameterError(f"{where}: probability outside the support [{lo}, {hi}]")
-
     def density(self, p):
-        arr = _as_prob_array(p, "bias_density")
-        self._check_support(arr, "bias_density")
+        arr = _probs(p, None, "p", *_support(self.t))
         if self.kind == ARCSINE:
             out = 1.0 / ((math.pi - 4.0 * tprime(self.t)) * np.sqrt(arr * (1.0 - arr)))
         else:
@@ -259,11 +271,9 @@ def expectation(dist, h, upper=None, tol=QUAD_TOL):
     Integrates in the angle variable p = sin^2 r so that the arcsine density
     becomes flat and inverse-square-root endpoints stay benign.
     """
-    tp = tprime(dist.t)
-    hi_p = 1.0 - dist.t if upper is None else upper
-    if not dist.t <= hi_p <= 1.0 - dist.t + _SUPPORT_SLOP:
-        raise ParameterError("expectation: upper limit outside the support")
-    hi_r = math.asin(math.sqrt(min(hi_p, 1.0)))
+    tp, tol = tprime(dist.t), _positive(tol, "tol")
+    hi_p = 1.0 - dist.t if upper is None else float(_probs(upper, 0, "upper", *_support(dist.t)))
+    hi_r = math.asin(math.sqrt(hi_p))
 
     if dist.kind == ARCSINE:
         scale = 2.0 / (math.pi - 4.0 * tp)

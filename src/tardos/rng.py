@@ -10,8 +10,9 @@ bit of output.
 
 The stream of an index is the Philox generator that numpy keys from
 ``SeedSequence(seed, spawn_key=(tag, index))``. :func:`keys` derives those
-keys for a whole range of indices in one numpy pass, by the same mixing
-SeedSequence applies to one index at a time, so a caller can re-key a single
+keys for a whole range of indices in one numpy pass: it takes SeedSequence's
+pool for the seed and the tag, and mixes in each index as SeedSequence does
+for one index at a time, so a caller can re-key a single
 Philox per index instead of opening a :func:`stream` each. Bernoulli bits come
 from :func:`bernoulli`: an exact integer compare of raw Philox words with
 :func:`thresholds`, which gives the same bits as ``gen.random(shape) < p``
@@ -28,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ParameterError
-from .model import _integer
+from .model import _ABOVE_0, _integer, _probs
 
 # Purpose tags. Never renumber: stream identities are part of the
 # reproducibility contract for saved seeds.
@@ -67,10 +68,9 @@ def substreams(seed, tag, index, n):
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
-# numpy's SeedSequence mixing (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words, hashed in with the INIT_A/MULT_A constants, mixed pairwise,
-# then read out with the INIT_B/MULT_B constants. Arithmetic is mod 2^32, done
-# on Python ints or on u64 arrays masked to 32 bits.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes each index word
+# in with the INIT_A/MULT_A constants, mixes it into all four 32-bit pool words
+# and reads the pool out with INIT_B/MULT_B; mod 2^32, on u64 arrays.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -82,14 +82,14 @@ def _hash_consts(init, mult, calls):
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _M32)
-    return consts
+    return np.array(consts, dtype=np.uint64)
 
 
 # Each hashmix call steps its constant, whatever the data, so the constants of
-# call k are entries k and k + 1: 4 seed words, 12 pairwise mixes, then the
-# tag and up to two index words, each mixed into all 4 pool words.
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, 4 + 12 + 3 * 4)
-_HASH_B = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL), dtype=np.uint64)
+# call k are entries k and k + 1. The pool of (seed, tag) has made 4 seed
+# calls, 12 pairwise mixes and 4 tag calls; the index's up to two words follow.
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 4 + 12 + 4 + 2 * _POOL)[4 + 12 + 4:, None]
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, _POOL)[:, None]
 
 
 def _hashmix(value, h0, h1):
@@ -106,34 +106,24 @@ def keys(seed, tag, lo, hi):
     """Philox keys of streams ``lo .. hi-1`` of ``tag``, as an (hi-lo, 2) u64 array.
 
     Row i equals ``seed_sequence(seed, tag, lo + i).generate_state(2, np.uint64)``,
-    the key :func:`stream` gives its Philox. The seed and the tag are the same
-    for every index and are mixed in once; each index then adds one mixing
-    round per 32-bit word (two from 2^32 on), for all indices at once.
+    the key :func:`stream` gives its Philox. numpy mixes the seed and the tag
+    into the pool of ``SeedSequence(seed, spawn_key=(tag,))``; each index then
+    adds one mixing round per 32-bit word (two from 2^32 on), here for all
+    indices at once.
     """
-    seed = check_seed(seed)
     if not 0 <= lo <= hi <= SEED_LIMIT:
         raise ParameterError("stream indices must lie in [0, 2^64)")
     if not 0 <= tag <= _M32:
         raise ParameterError("a purpose tag must be one 32-bit word")
-    h = _HASH_A
-    # The seed's words, zero-padded to the pool size, then the tag.
-    pool = [_hashmix(w, h[k], h[k + 1]) for k, w in enumerate((seed & _M32, seed >> 32, 0, 0))]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], h[k + 1]))
-                k += 1
-    pool = [_mix(w, _hashmix(tag, h[k + i], h[k + i + 1])) for i, w in enumerate(pool)]
-    # One column per index. In each index round, row i of the constants
-    # mixes the word into pool word i.
+    pool = np.random.SeedSequence(check_seed(seed), spawn_key=(tag,)).pool
     index = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
-    pool = np.array(pool, dtype=np.uint64)[:, None]
-    h = np.array(h[k + _POOL:], dtype=np.uint64)[:, None]
-    pool = _mix(pool, _hashmix(index & np.uint64(_M32), h[:4], h[1:5]))
+    # One column per index. In each index round, row i of the constants mixes
+    # the word into pool word i.
+    h = _HASH_A
+    pool = _mix(pool.astype(np.uint64)[:, None], _hashmix(index & np.uint64(_M32), h[:4], h[1:5]))
     high = index >> np.uint64(32)
     pool = np.where(high > 0, _mix(pool, _hashmix(high, h[4:8], h[5:9])), pool)
-    words = _hashmix(pool, _HASH_B[:4, None], _HASH_B[1:, None])
+    words = _hashmix(pool, _HASH_B[:4], _HASH_B[1:])
     return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
 
 
@@ -162,10 +152,7 @@ def thresholds(p):
     ``raw >> 11 < k``, that is when ``raw <= (k - 1) << 11 | 2047``. ``p`` must
     lie in (0, 1]; p = 1 gives the largest word, so every bit is a one.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0.0) & (p <= 1.0)):
-        raise ParameterError("Bernoulli probabilities must lie in (0, 1]")
-    k = np.ceil(p * 2.0 ** 53) - 1.0
+    k = np.ceil(_probs(p, None, "p", _ABOVE_0, 1.0) * 2.0 ** 53) - 1.0
     return k.astype(np.uint64) << np.uint64(11) | np.uint64(2047)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .attacks import Strategy, _forge
 from .errors import CapacityError, ParameterError
 from .gaussian import MomentSummary, erfc_inv, moments, normal_cdf
-from .model import ARCSINE, BiasDistribution, SchemeParams, _integer
+from .model import ARCSINE, BiasDistribution, SchemeParams, _integer, _positive
 from .rng import SEED_LIMIT, TAG_TRIAL, bernoulli, fan_out, substreams, thresholds
 from .tracer import _score_blocks, _score_pieces
 
@@ -47,7 +47,7 @@ _KS_CHUNK = 1 << 16
 def wilson_interval(successes, n, z=_WILSON_Z):
     """Wilson score interval for a binomial rate; well-behaved at 0 and n."""
     n = _integer(n, "n", 1)
-    successes = _integer(successes, "successes", 0, n)
+    successes, z = _integer(successes, "successes", 0, n), _positive(z, "z")
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -74,6 +74,8 @@ class SimConfig:
                              ("innocents_per_trial", 1, math.inf), ("threads", 1, math.inf),
                              ("histogram_bins", 1, _MAX_BINS), ("seed", 0, SEED_LIMIT - 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi))
+        if not isinstance(self.keep_scores, (bool, np.bool_)):
+            raise ParameterError("keep_scores must be a bool", param="keep_scores")
         object.__setattr__(self, "strategy", Strategy.of(self.strategy, self.c))
         if self.params.Z is None:
             raise ParameterError("scheme parameters must include a threshold Z")

@@ -71,9 +71,8 @@ def _score_pieces(yb, p):
         raise ParameterError("pirate copy length disagrees with bias length", param="pirate copy")
     mask = yb == 1
     p1 = p[mask]
-    w = g1(p1) - g0(p1)
-    base = float(np.sum(g0(p1)))
-    return mask, w, base
+    g = g0(p1)
+    return mask, g1(p1) - g, float(np.sum(g))
 
 
 def _score_blocks(block, n, w, base):

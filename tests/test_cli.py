@@ -118,6 +118,13 @@ class TestAttack:
                        "--users", "0,99", "--out", str(tmp_path / "y.txt")])
         assert res.code == 2
 
+    @pytest.mark.parametrize("huge", [2 ** 63, 2 ** 64])
+    def test_user_beyond_int64_is_out_of_range(self, codebook_path, tmp_path, run_cli, huge):
+        res = run_cli(["attack", "--codebook", str(codebook_path),
+                       "--users", f"0,{huge}", "--out", str(tmp_path / "y.txt")])
+        assert res.code == 2
+        assert f"--users: user {huge} outside 0..29" in res.err
+
     def test_unknown_strategy_rejected(self, codebook_path, tmp_path, run_cli):
         res = run_cli(["attack", "--codebook", str(codebook_path),
                        "--users", "0,1", "--strategy", "bogus",
@@ -652,7 +659,8 @@ class TestExitCodes:
 # explicit lengths <= 2000. Huge integers (2^64, 10^30) still go to users,
 # lengths, trials, innocents, bins, threads, every c0 and every coalition,
 # which must be rejected (or cost nothing) before anything is allocated; never
-# to iterations, whose cost grows with the value.
+# to iterations, whose cost grows with the value. User indices also take 2^63,
+# the first int beyond int64.
 HUGE = [str(2 ** 64), str(10 ** 30)]
 EDGES = ["0", "-1", "nan", "inf", "1", "1.5", "1e-300", "x"]
 
@@ -705,7 +713,9 @@ def _argv(draw, files):
                 + draw(_opt("--eps1", EPS)) + draw(_opt("--eps2", EPS))
                 + ["--out", out])
     elif cmd == "attack":
-        rest = (book + ["--users", draw(_list(_size(21), 4))] + strategy
+        user = st.sampled_from(range(8)).flatmap(
+            lambda k: st.just(str(2 ** 63)) if k == 0 else _size(21))
+        rest = (book + ["--users", draw(_list(user, 4))] + strategy
                 + ["--out", out])
     elif cmd == "trace":
         pirate = draw(st.sampled_from(

@@ -50,6 +50,10 @@ class TestErfc:
         assert erfc(-50.0) == pytest.approx(2.0, rel=1e-15)
         assert erfc(50.0) < 1e-300 or erfc(50.0) == 0.0
 
+    def test_nan_gives_nan(self):
+        # The series used to run on forever at NaN.
+        assert math.isnan(erfc(math.nan)) and math.isnan(log_erfc(math.nan))
+
     def test_vectorized_path_matches_scalar(self):
         from tardos.gaussian import _erfc_vec
 

@@ -5,21 +5,26 @@ another exception and never a silent cast, and a bool, int or float array of
 0 and 1 gives exactly the result of its uint8 copy. Ragged nested lists are
 malformed too."""
 
+import inspect
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tardos import (ARCSINE, BETA, BiasDistribution, DerivedConstants, GeneralConditionInputs,
-                    ParameterError, SchemeParams, Strategy, check_tardos_condition, clt_report,
-                    conservative_plan, default_cutoff, forge, g0, g1, length_window, moments,
-                    search_min_A, strategy_psi, tprime, wilson_interval)
+import tardos
+from tardos import (ARCSINE, BETA, BiasDistribution, ClosedFormInputs, Codebook, DerivedConstants,
+                    GeneralConditionInputs, ParameterError, SchemeParams, Strategy, bias_density,
+                    check_tardos_condition, clt_report, conservative_plan, crc64, default_cutoff,
+                    emit_search_table, erfc, erfc_inv, expectation, forge, g0, g1, length_window,
+                    log_erfc, m_min, moments, normal_cdf, nu, row_bits, search_min_A,
+                    strategy_psi, tprime, wilson_interval, z_interval)
 from tardos.codegen import BiasVector, gen_matrix, generate_codebook, sample_bias
 from tardos.model import _C0_MAX
-from tardos.rng import check_seed
+from tardos.rng import check_seed, thresholds
 from tardos.simulate import SimConfig
 from tardos.tracer import PirateCopy, coalition_score, score_user, trace
 
@@ -117,7 +122,10 @@ INDEX_ENTRIES = {
     "trace coalition": lambda idx: trace(BOOK, Y, Z=0.0, coalition=idx).coalition_score,
 }
 BAD_INDICES = [[1.7], [1.0], [-1], [BOOK.n], [math.nan], [math.inf], ["1"], [1j], [True],
-               np.array([1], dtype=object), 1, [[1]], [[1], [1, 2]], [1, [2]]]
+               np.array([1], dtype=object), 1, [[1]], [[1], [1, 2]], [1, [2]],
+               # Python ints outside int64, of which numpy makes object or float arrays.
+               [0, 2 ** 64], [0, 2 ** 63], (-(2 ** 63) - 1,)]
+
 
 
 @pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
@@ -176,22 +184,71 @@ class TestRealArrays:
         assert np.array_equal(call(valid), call(np.array(valid)))
 
 
+DIST = BiasDistribution(ARCSINE, t=0.01)
+
 # Probabilities in (0, 1), of any shape: a string is not cast to a number.
-PROB_ENTRIES = {
-    "g1": g1,
-    "g0": g0,
-    "bias density": BiasDistribution(ARCSINE, t=0.01).density,
-}
+OPEN_PROBS = {"g1": g1, "g0": g0, "bias density": DIST.density}
 BAD_PROBS = ["0.5", b"0.5", ["0.5", "0.2"], np.array(["0.5"]), None, 0.5j, [0.5j],
              np.array([0.5], dtype=object), [[0.1], [0.2, 0.3]], [0.1, [0.2]], 0.0, 1.0,
              math.nan, [0.5, math.inf]]
 
 
-@pytest.mark.parametrize("entry", sorted(PROB_ENTRIES))
+@pytest.mark.parametrize("entry", sorted(OPEN_PROBS))
 @pytest.mark.parametrize("bad", BAD_PROBS, ids=repr)
 def test_malformed_probability_raises_parameter_error(entry, bad):
     with pytest.raises(ParameterError):
-        PROB_ENTRIES[entry](bad)
+        OPEN_PROBS[entry](bad)
+
+
+# Every probability array a caller passes: the argument ParameterError names,
+# the interval its message states, a valid value, values just outside the
+# interval, and the call.
+PROB_ENTRIES = {
+    "g1": ("p", "(0, 1)", [0.25, 0.5], [0.0, 1.0], g1),
+    "g0": ("p", "(0, 1)", [0.25, 0.5], [0.0, 1.0], g0),
+    "bias_density p": ("p", "[0.01, 0.99]", [0.25, 0.5], [0.0, 0.005, 0.995, 1.0],
+                       lambda x: bias_density(DIST, x)),
+    "thresholds": ("p", "(0, 1]", [0.25, 1.0], [0.0, -0.5, 1.5], thresholds),
+    "BiasVector p": ("bias vector", "[0.1, 0.9]", [0.3, 0.5], [0.0, 0.05, 0.95, 1.0],
+                     lambda x: BiasVector(p=x, t=0.1).p),
+    "Strategy psi": ("psi table", "[0, 1]", [0.0, 0.5, 1.0], [-0.5, 1.5],
+                     lambda x: Strategy(kind="custom", c=2, psi=x).psi),
+}
+
+
+@st.composite
+def malformed_probs(draw, valid, outside):
+    """``valid`` with a value outside its interval, NaN or +/-inf, of a
+    non-real dtype, as bools, or ragged."""
+    kind = draw(st.sampled_from(["value", "dtype", "bool", "ragged"]))
+    if kind == "ragged":
+        return ragged(valid)
+    if kind == "dtype":
+        return np.array(valid).astype(draw(st.sampled_from([object, str, complex])))
+    if kind == "bool":
+        out = np.array(draw(st.lists(st.booleans(), min_size=len(valid), max_size=len(valid))))
+    else:
+        out = np.array(valid, dtype=np.float64)
+        out[draw(st.integers(0, out.size - 1))] = draw(
+            st.sampled_from(outside + [math.nan, math.inf, -math.inf]))
+    return out.tolist() if draw(st.booleans()) else out
+
+
+@pytest.mark.parametrize("entry", sorted(PROB_ENTRIES))
+class TestProbabilities:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_malformed_raises_parameter_error_naming_the_argument(self, entry, data):
+        param, _, valid, outside, call = PROB_ENTRIES[entry]
+        with pytest.raises(ParameterError) as exc:
+            call(data.draw(malformed_probs(valid, outside)))
+        assert exc.value.param == param
+
+    def test_message_states_the_interval(self, entry):
+        _, interval, valid, outside, call = PROB_ENTRIES[entry]
+        for v in outside:
+            with pytest.raises(ParameterError, match=re.escape(interval)):
+                call([v] + valid[1:])
 
 
 def test_probabilities_of_any_real_dtype_agree():
@@ -276,6 +333,18 @@ def condition(**kw):
                                             alpha2=1e-3, L=1.0), **kw})
 
 
+def closed_form(**kw):
+    return ClosedFormInputs(**{**dict(c0=4.0, tau=0.01, omega=0.1, eps1=1e-10, eps2=1e-2), **kw})
+
+
+def above(lo, hi):
+    """Values a real argument in [lo, hi) must reject."""
+    return not_reals(lo, hi).filter(lambda v: v != lo)
+
+
+SUMMARY = moments("interleave", 2, t=0.01)
+
+
 SCALAR_ENTRIES = {
     "check_seed": (check_seed, not_integers(*SEEDS)),
     "forge seed": (lambda v: forge([[0, 1], [1, 1]], "interleave", seed=v),
@@ -348,6 +417,72 @@ SCALAR_ENTRIES = {
                                        not_reals(0.0, 0.5)),
     "DerivedConstants.from_scheme c0": (lambda v: DerivedConstants.from_scheme(0.01, v),
                                         not_integers(1, _C0_MAX)),
+    "z_interval c0": (lambda v: z_interval(SUMMARY, 100, 0.1, 0.1, v), not_integers(1, _C0_MAX)),
+    "z_interval m": (lambda v: z_interval(SUMMARY, v, 0.1, 0.1, 4), not_reals(0.0, math.inf)),
+    "z_interval eps1": (lambda v: z_interval(SUMMARY, 100, v, 0.1, 4), not_reals(0.0, 1.0)),
+    "z_interval eps2": (lambda v: z_interval(SUMMARY, 100, 0.1, v, 4), not_reals(0.0, 1.0)),
+    "m_min eps1": (lambda v: m_min(SUMMARY, v, 0.1, 4), not_reals(0.0, 1.0)),
+    "m_min eps2": (lambda v: m_min(SUMMARY, 0.1, v, 4), not_reals(0.0, 1.0)),
+    "m_min c0": (lambda v: m_min(SUMMARY, 0.1, 0.1, v), not_integers(1, _C0_MAX)),
+    # upper lies in the support [0.01, 0.99] of DIST.
+    "expectation upper": (lambda v: expectation(DIST, lambda p: p, upper=v),
+                          optional(not_reals(0.0, 1.0))),
+    "expectation tol": (lambda v: expectation(DIST, lambda p: p, tol=v),
+                        not_reals(0.0, math.inf)),
+    "nu tol": (lambda v: nu(DIST, tol=v), not_reals(0.0, math.inf)),
+    "wilson_interval z": (lambda v: wilson_interval(1, 10, z=v), not_reals(0.0, math.inf)),
+    "SimConfig keep_scores": (lambda v: sim(keep_scores=v),
+                              st.sampled_from(["no", "", 0, 1, 1.0, None, [True],
+                                               np.array(True)])),
+    # Any real, NaN and +/-inf too, is an argument of erfc.
+    "erfc x": (erfc, st.sampled_from(NOT_NUMBERS + [10 ** 400, -(10 ** 400)])),
+    "log_erfc x": (log_erfc, st.sampled_from(NOT_NUMBERS + [10 ** 400, -(10 ** 400)])),
+    "erfc_inv y": (erfc_inv, not_reals(0.0, 2.0)),
+    "normal_cdf x": (normal_cdf, st.sampled_from(["1", ["1", "2"], np.array(["1"]), None, 1j,
+                                                  [1j], np.array([1], dtype=object),
+                                                  [[1], [1, 2]]])),
+    "ClosedFormInputs c0": (lambda v: closed_form(c0=v), above(1.0, math.inf)),
+    "ClosedFormInputs tau": (lambda v: closed_form(tau=v), not_reals(0.0, 0.5)),
+    "ClosedFormInputs omega": (lambda v: closed_form(omega=v), not_reals(0.0, math.inf)),
+    "ClosedFormInputs eps1": (lambda v: closed_form(eps1=v), not_reals(0.0, 1.0)),
+    "ClosedFormInputs eps2": (lambda v: closed_form(eps2=v), not_reals(0.0, 1.0)),
+    "search_min_A eps2": (lambda v: search_min_A(4, 1e-10, v, 10, 0), not_reals(0.0, 1.0)),
+    "search_min_A seed": (lambda v: search_min_A(4, 1e-10, 1e-3, 10, v), not_integers(*SEEDS)),
+    "emit_search_table c0_list": (lambda v: emit_search_table([v], [1.0], 10, 0),
+                                  not_integers(1, _C0_MAX)),
+    "emit_search_table R_list": (lambda v: emit_search_table([4], [v], 10, 0),
+                                 not_reals(0.0, math.inf)),
+    "emit_search_table iterations": (lambda v: emit_search_table([4], [1.0], v, 0),
+                                     not_integers(1, math.inf)),
+    "emit_search_table seed": (lambda v: emit_search_table([4], [1.0], 10, v),
+                               not_integers(*SEEDS)),
+    "emit_search_table eps1": (lambda v: emit_search_table([4], [1.0], 10, 0, eps1=v),
+                               not_reals(0.0, 1.0)),
+    "conservative_plan tau": (lambda v: conservative_plan(4, v, 0.1, 0.1), above(0.0, 0.5)),
+    "conservative_plan eps2": (lambda v: conservative_plan(4, 0.01, 0.1, v),
+                               not_reals(0.0, 1.0)),
+    "clt_report eps1": (lambda v: clt_report(4, eps1=v), not_reals(0.0, 1.0)),
+    "clt_report m": (lambda v: clt_report(4, m=v), optional(above(1.0, math.inf))),
+    "length_window eps1": (lambda v: window(eps1=v), not_reals(0.0, 1.0)),
+    "length_window eps2": (lambda v: window(eps2=v), not_reals(0.0, 1.0)),
+    "check_tardos_condition alpha2": (lambda v: check_tardos_condition(4, 0.01, v, 5.0),
+                                      above(0.0, math.inf)),
+    "check_tardos_condition L": (lambda v: check_tardos_condition(4, 0.01, 0.01, v),
+                                 not_reals(0.0, math.inf)),
+    "gen_matrix first": (lambda v: gen_matrix(2, BOOK.bias, seed=0, first=v),
+                         not_integers(0, math.inf)),
+    "gen_matrix max_bits": (lambda v: gen_matrix(2, BOOK.bias, seed=0, max_bits=v),
+                            not_integers(0, math.inf)),
+    "generate_codebook seed": (lambda v: generate_codebook(NO_FILE, 2, BOOK.bias, v),
+                               not_integers(*SEEDS)),
+    "row_bits seed": (lambda v: row_bits(BOOK.bias, v, 0), not_integers(*SEEDS)),
+    "row_bits j": (lambda v: row_bits(BOOK.bias, 0, v), not_integers(*SEEDS)),
+    "crc64 crc": (lambda v: crc64(b"123456789", v), not_integers(0, 2 ** 64 - 1)),
+    "moments c0": (lambda v: moments("interleave", 2, c0=v), optional(not_integers(1, _C0_MAX))),
+    "Strategy c": (lambda v: Strategy(kind="custom", c=v, psi=[0.0, 1.0]),
+                   not_integers(1, 10 ** 6)),
+    "Codebook seed": (lambda v: Codebook(bias=BOOK.bias, rows=BOOK.rows, seed=v),
+                      not_integers(*SEEDS)),
 }
 
 
@@ -370,3 +505,62 @@ def test_numpy_scalars_give_the_python_result():
                           gen_matrix(3, BOOK.bias, seed=1).rows)
     cfg = sim(c=np.int16(2), threads=np.uint8(2))
     assert (type(cfg.c), type(cfg.threads)) == (int, int)
+
+
+# Arguments of public callables that no entry above gives malformed values,
+# each with the reason: "callable argument", "* argument" for that argument of
+# every callable, or "callable *" for every argument of one callable.
+EXEMPT = {
+    **{f"{name} *": "a result record that the library fills in"
+       for name in ["AccusationReport", "CltReport", "ClosedFormOutputs", "ConditionCheck",
+                    "DerivedConstants", "GaussianPlan", "Histogram", "HistogramBundle",
+                    "MomentSummary", "SearchResult", "SearchTable", "SimReport",
+                    "WindowResult", "ZInterval"]},
+    **{f"* {arg}": "an object of one of the library's own types"
+       for arg in ["bias", "cb", "cfg", "clt", "dist", "inp", "interval", "params", "plan",
+                   "summary"]},
+    "* rng": "a numpy Generator",
+    "* path": "a file path, which open() checks",
+    "* h": "a function of p",
+    "* g1_choice": "'tardos' or a function, which nu checks by probing it",
+    "* strategy": "a kind name, a psi table or a Strategy, which Strategy.of checks",
+    "* kind": "a name that strategy_psi and BiasDistribution look up; a Strategy's is a label",
+    "trace threads": "kept for API compatibility and not used",
+    "search_min_A threads": "kept for API compatibility and not used",
+    "emit_search_table threads": "kept for API compatibility and not used",
+    "crc64 data": "any buffer or iterable of bytes; bytes() raises TypeError on anything else",
+    "Codebook rows": "packed words: Codebook takes only a 2-d little-endian u64 array",
+}
+
+
+def _covered():
+    """(callable, argument) pairs that the entries above name by their keys,
+    "callable argument"; a key naming only a callable names its first argument."""
+    entries = [BIT_ENTRIES, INDEX_ENTRIES, REAL_ENTRIES, PROB_ENTRIES, SCALAR_ENTRIES,
+               {f"SimConfig {field}": None for field in OUT_OF_RANGE}]
+    return {tuple(key.partition(" ")[::2]) for table in entries for key in table}
+
+
+def _public_arguments():
+    """(callable, argument position, argument) for every callable in
+    ``tardos.__all__`` but the exceptions, which take a message."""
+    for name in tardos.__all__:
+        obj = getattr(tardos, name)
+        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception)):
+            for i, arg in enumerate(inspect.signature(obj).parameters):
+                yield name, i, arg
+
+
+def test_every_public_argument_is_covered_or_exempt():
+    covered = _covered()
+    missing = [f"{name} {arg}" for name, i, arg in _public_arguments()
+               if not ((name, arg) in covered or i == 0 and (name, "") in covered
+                       or {f"{name} {arg}", f"{name} *", f"* {arg}"} & set(EXEMPT))]
+    assert not missing, f"give each a malformed-value entry or an exemption: {missing}"
+
+
+def test_every_exemption_names_a_public_argument():
+    public = {(name, arg) for name, _, arg in _public_arguments()}
+    for key in EXEMPT:
+        name, arg = key.split(" ")
+        assert any(name in (n, "*") and arg in (a, "*") for n, a in public), key

@@ -439,9 +439,10 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
     alpha2 <= cap in floating point too, so A >= A_lb, and a row wins only
     with an A strictly below the best before it. While nothing is feasible
     the cut is inf, so the counts of an InfeasibleError are unchanged.
-    ``threads`` is kept for API compatibility and is not used.
+    ``threads`` is kept for API compatibility; it is checked but not used.
     """
     iterations = _integer(iterations, "iterations", 1)
+    _integer(threads, "threads", 1)
     c0 = _integer(c0, "c0", 1, _C0_MAX)
     R = _ratio(eps1, eps2)
 
@@ -515,6 +516,17 @@ class SearchTable:
             fh.write(f"{res.R!r},{res.c0},{res.A!r},{res.B!r},{t_ratio!r}\n")
 
 
+def _nonempty(values, what):
+    """``values`` as a tuple, checked to be a nonempty iterable."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = ()
+    if not values:
+        raise ParameterError(f"the {what} values must form a nonempty list", param=what)
+    return values
+
+
 def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
     """Run :func:`search_min_A` over every (R, c0) cell.
 
@@ -522,15 +534,14 @@ def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
     cells fix eps1 (default 1e-10) and set eps2 = eps1^R. Each cell uses its
     own seed, seed + k mod 2^64 for cell k; per-cell auxiliary ratios are
     logged, not returned. Cells run serially, like the blocks of each search;
-    ``threads`` is kept for API compatibility and is not used.
+    ``threads`` is kept for API compatibility; it is checked but not used.
     """
     # Every cell's c0 and R is checked before the first cell runs.
-    c0_list = tuple(_integer(c0, "c0", 1, _C0_MAX) for c0 in c0_list)
-    R_list, eps2_list = tuple(R_list), [eps2_for_ratio(eps1, R) for R in R_list]
-    for what, values in (("c0", c0_list), ("ratio R", R_list)):
-        if not values:
-            raise ParameterError(f"the list of {what} values must be nonempty", param=what)
+    c0_list = tuple(_integer(c0, "c0", 1, _C0_MAX) for c0 in _nonempty(c0_list, "c0"))
+    R_list = _nonempty(R_list, "ratio R")
+    eps2_list = [eps2_for_ratio(eps1, R) for R in R_list]
     seed = check_seed(seed)
+    _integer(threads, "threads", 1)
     results = []
     cell = 0
     for R, eps2 in zip(R_list, eps2_list):

@@ -18,13 +18,17 @@ File format (all integers little-endian):
     text | u64 m | m float64 biases | u64 n | u32 words_per_row | n*words u64
     packed row-major bits (64 per word, little-endian bit order) | u64 CRC-64
 
-The trailing checksum is CRC-64/XZ over every preceding byte.
+The trailing checksum is CRC-64/XZ over every preceding byte, computed by
+liblzma's ``lzma_crc64`` through ctypes where it can be found (see
+:func:`crc64`) and by a slice-by-8 Python loop otherwise.
 
 One writer (:func:`_write_codebook`) and one reader (:class:`CodebookFile`)
 handle the format. The writer takes the rows as a sequence of chunks, and the
 reader yields them in chunks of whole 4-row groups of about
-:data:`_CHUNK_BYTES`, so :func:`generate_codebook` and the CLI's ``attack``
-and ``trace`` hold one chunk of rows at a time, not the whole matrix.
+:data:`_CHUNK_BYTES`, so the CLI's ``attack`` and ``trace`` hold one chunk of
+rows at a time, not the whole matrix. :func:`generate_codebook` holds a few
+slices of about ``_CHUNK_BYTES / threads``: workers draw the next slices
+while the calling thread checksums and writes the last one.
 """
 
 import functools
@@ -40,7 +44,7 @@ from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
 from .model import (ARCSINE, BiasDistribution, SchemeParams, _check_cutoff, _integer, _probs,
                     _real_array, _support)
 from .rng import (SEED_LIMIT, TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
-                  stream, thresholds)
+                  fan_out_iter, stream, thresholds)
 
 MAGIC = b"TRDC"
 VERSION = 1
@@ -50,9 +54,10 @@ VERSION = 1
 _BLOCK_ROWS = 64
 
 # Rows per chunk of a streamed codebook file, read or written: about this many
-# bytes, in whole groups (4-row groups when read, _BLOCK_ROWS blocks when
-# generated). The pipeline at n = 10^4 took the same time with 1, 2 and 4 MiB
-# chunks on a 2-CPU x86-64 host; smaller chunks hold less.
+# bytes, in whole groups (4-row groups when read; _BLOCK_ROWS blocks when
+# generated, divided among the threads). The pipeline at n = 10^4 took the
+# same time with 1, 2 and 4 MiB chunks on a 2-CPU x86-64 host; smaller chunks
+# hold less.
 _CHUNK_BYTES = 1 << 20
 
 # Default memory budget for a single codebook: 2^33 bits = 1 GiB, counting the
@@ -63,26 +68,20 @@ DEFAULT_MAX_BITS = 1 << 33
 # CRC-64/XZ (reflected poly 0xC96C5795D7870F42, init/xorout all-ones); check
 # value crc64(b"123456789") == 0x995DC9BBDF1939FA.
 #
-# Slice-by-8 (Kounavis & Berry, ISCC 2005) advances the raw register one
+# liblzma computes it as lzma_crc64(buf, size, crc), with this module's
+# chaining convention. The symbol is looked up once, on first use, on the
+# handle of CPython's own _lzma extension (which finds it whether liblzma is
+# linked in statically or dynamically), else in the liblzma that ctypes finds;
+# a candidate must give the check value. ctypes releases the GIL for the call,
+# so a writer can checksum while other threads draw rows. Without liblzma,
+# a slice-by-8 loop (Kounavis & Berry, ISCC 2005) advances the register one
 # 8-byte word at a time: with v = register ^ word, the next register is the
-# XOR over k of table[7 - k][byte k of v]. That map is "append 8 zero bytes"
-# applied to v, and it is linear over GF(2), so a register that has read
-# chunk A and then chunk B equals zeros(len B)(register after A) ^ (register
-# of B read from zero). Long inputs use this, as zlib's crc32_combine does:
-# the body is cut into K equal lanes; numpy advances all K registers together,
-# one word per step (the initial value goes into lane 0); then adjacent lanes
-# are folded pairwise with the operator that appends one lane's worth of zero
-# bytes, whose table is built by squaring the 8-byte step table. Zero
-# registers in front pad K to a power of two for the fold; they add nothing.
-# The lane length is the fewest steps that fit the body in _MAX_LANES lanes,
-# so fewer than that many words are left over. Those words, the last < 8
-# bytes, and inputs too short for lanes to pay take the scalar loop. The fold
-# operators depend only on (steps, K), so the row chunks of a streamed file
-# build them once. The bytewise oracle the tests compare against lives in
-# tests/test_codegen.py.
+# XOR over k of table[7 - k][byte k of v]. The bytewise oracle the tests
+# compare against lives in tests/test_codegen.py.
 
 _CRC_POLY_REFLECTED = 0xC96C5795D7870F42
 _CRC_MASK = (1 << 64) - 1
+_CRC_CHECK = 0x995DC9BBDF1939FA
 
 
 def _crc_tables():
@@ -100,72 +99,29 @@ def _crc_tables():
 
 
 _CRC_TABLES = _crc_tables()
-# The 8-byte step as an operator table: row k is indexed by byte k of v.
-_CRC_STEP = np.array(_CRC_TABLES[::-1], dtype="<u8")
-
-# Lane count: at most _MAX_LANES, with every lane at least _LANE_WORDS words
-# long. Below _MIN_LANES lanes (inputs under 8 KiB) the lane path's fixed
-# cost (fold tables, fold) and its numpy calls per step outweigh the scalar
-# loop.
-_MAX_LANES = 4096
-_MIN_LANES = 128
-_LANE_WORDS = 8
 
 
-def _zeros_apply(op, regs):
-    """Apply the linear operator table ``op`` (8 x 256) to each register."""
-    octets = np.ascontiguousarray(regs, dtype="<u8").view(np.uint8)
-    octets = octets.reshape(regs.shape + (8,))
-    out = np.take(op[0], octets[..., 0])
-    for k in range(1, 8):
-        out ^= np.take(op[k], octets[..., k])
-    return out
-
-
-def _zeros_op(words):
-    """Operator table that appends ``words`` (>= 1) zero words to a register."""
-    op, square = None, _CRC_STEP
-    while True:
-        if words & 1:
-            op = square if op is None else _zeros_apply(square, op)
-        words >>= 1
-        if not words:
-            return op
-        square = _zeros_apply(square, square)
-
-
-# Two entries: a file's full row chunks share one, and each entry is up to
-# 12 tables of 16 KiB.
-@functools.lru_cache(maxsize=2)
-def _fold_ops(steps, width):
-    """Operators of the pairwise fold of ``width`` (a power of two) lanes of
-    ``steps`` words, one per level, read-only."""
-    ops = [_zeros_op(steps)]
-    while len(ops) < width.bit_length() - 1:
-        ops.append(_zeros_apply(ops[-1], ops[-1]))
-    for op in ops:
-        op.setflags(write=False)
-    return tuple(ops[:width.bit_length() - 1])
-
-
-def _lane_count(words):
-    """Lanes for an input of ``words`` whole words; 0 means the scalar loop."""
-    lanes = min(_MAX_LANES, words // _LANE_WORDS)
-    return lanes if lanes >= _MIN_LANES else 0
-
-
-def _crc_lanes(state, buf, lanes, steps):
-    """Raw register after reading ``lanes * steps`` words of ``buf`` from ``state``."""
-    words = np.frombuffer(buf, dtype="<u8", count=lanes * steps).reshape(lanes, steps)
-    width = 1 << (lanes - 1).bit_length()
-    regs = np.zeros(lanes, dtype="<u8")
-    regs[0] = state
-    for j in range(steps):
-        regs = _zeros_apply(_CRC_STEP, regs ^ words[:, j])
-    regs = np.concatenate([np.zeros(width - lanes, dtype="<u8"), regs])
-    for op in _fold_ops(steps, width):
-        regs = _zeros_apply(op, regs[0::2]) ^ regs[1::2]
-    return int(regs[0])
+@functools.cache
+def _lzma_crc64():
+    """liblzma's ``lzma_crc64`` as a ctypes function, or None if none gives the check value."""
+    import ctypes
+    import ctypes.util
+    try:
+        import _lzma
+        libraries = [_lzma.__file__]
+    except (ImportError, AttributeError):  # no _lzma, or one built into the interpreter
+        libraries = []
+    libraries.append(ctypes.util.find_library("lzma"))
+    for name in filter(None, libraries):
+        try:
+            fn = ctypes.CDLL(name).lzma_crc64
+        except (OSError, AttributeError):
+            continue
+        fn.restype, fn.argtypes = ctypes.c_uint64, (ctypes.c_void_p, ctypes.c_size_t,
+                                                     ctypes.c_uint64)
+        if fn(b"123456789", 9, 0) == _CRC_CHECK:
+            return fn
+    return None
 
 
 def crc64(data, crc=0):
@@ -174,23 +130,20 @@ def crc64(data, crc=0):
         buf = memoryview(data).cast("B")
     except TypeError:  # not a contiguous buffer, e.g. an iterable of ints
         buf = memoryview(bytes(data))
-    state = _integer(crc, "crc", 0, _CRC_MASK) ^ _CRC_MASK
-    words = len(buf) // 8
-    lanes = _lane_count(words)
-    done = 0
-    if lanes:
-        steps = -(-words // lanes)
-        lanes = words // steps
-        state = _crc_lanes(state, buf, lanes, steps)
-        done = 8 * lanes * steps
+    crc = _integer(crc, "crc", 0, _CRC_MASK)
+    fast = _lzma_crc64()
+    if fast is not None:
+        # numpy gives the address of a read-only buffer too; ctypes' from_buffer does not.
+        octets = np.frombuffer(buf, dtype=np.uint8)
+        return fast(octets.ctypes.data, octets.size, crc)
+    state = crc ^ _CRC_MASK
     t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     head = len(buf) - len(buf) % 8
-    if head > done:
-        for word in np.frombuffer(buf[done:head], dtype="<u8").tolist():
-            v = state ^ word
-            state = (t7[v & 0xFF] ^ t6[(v >> 8) & 0xFF] ^ t5[(v >> 16) & 0xFF]
-                     ^ t4[(v >> 24) & 0xFF] ^ t3[(v >> 32) & 0xFF] ^ t2[(v >> 40) & 0xFF]
-                     ^ t1[(v >> 48) & 0xFF] ^ t0[v >> 56])
+    for word in np.frombuffer(buf[:head], dtype="<u8").tolist():
+        v = state ^ word
+        state = (t7[v & 0xFF] ^ t6[(v >> 8) & 0xFF] ^ t5[(v >> 16) & 0xFF]
+                 ^ t4[(v >> 24) & 0xFF] ^ t3[(v >> 32) & 0xFF] ^ t2[(v >> 40) & 0xFF]
+                 ^ t1[(v >> 48) & 0xFF] ^ t0[v >> 56])
     for byte in buf[head:]:
         state = (state >> 8) ^ t0[(state ^ byte) & 0xFF]
     return state ^ _CRC_MASK
@@ -364,15 +317,20 @@ def generate_codebook(path, n, bias, seed, params=None, threads=1):
 
     The file is byte for byte ``save_codebook(gen_matrix(n, bias, seed,
     params, threads), path)``, but the rows are drawn and written in slices
-    of whole :data:`_BLOCK_ROWS` blocks of about :data:`_CHUNK_BYTES`, so
-    memory does not grow with n. The budget of :func:`gen_matrix` still
-    applies to the whole code.
+    of whole :data:`_BLOCK_ROWS` blocks, so memory does not grow with n. Each
+    slice is one one-thread :func:`gen_matrix` call. With one thread the
+    slices are about :data:`_CHUNK_BYTES` and are drawn inline; with more,
+    they are about ``_CHUNK_BYTES / threads`` and workers draw the next ones
+    (:func:`rng.fan_out_iter`) while this thread checksums and writes each in
+    order. The budget of :func:`gen_matrix` still applies to the whole code.
     """
     seed, n = check_seed(seed), _check_capacity(n, bias.m)
     threads = _integer(threads, "threads", 1)
-    step = _BLOCK_ROWS * max(1, _CHUNK_BYTES // (8 * _BLOCK_ROWS * _words_per_row(bias.m)))
-    slices = (gen_matrix(min(step, n - lo), bias, seed, threads=threads, first=lo).rows
-              for lo in range(0, n, step))
+    blocks = _CHUNK_BYTES // threads // (8 * _BLOCK_ROWS * _words_per_row(bias.m))
+    step = _BLOCK_ROWS * max(1, blocks)
+    slices = fan_out_iter(
+        lambda k: gen_matrix(min(step, n - k * step), bias, seed, first=k * step).rows,
+        -(-n // step), threads)
     _write_codebook(path, seed, params, bias, n, slices)
 
 
@@ -405,7 +363,7 @@ def _write_codebook(path, seed, params, bias, n, chunks):
                 fh.write(part)
                 crc = crc64(part, crc)
                 written += len(chunk)
-                del chunk, part  # before the next chunk is made
+                del chunk, part  # before the next chunk is taken
             if written != n:
                 raise ParameterError(f"{written} rows written, the header says {n}")
             fh.write(struct.pack("<Q", crc))

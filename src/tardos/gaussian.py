@@ -83,6 +83,8 @@ def _cf_denominator(x):
 def erfc(x):
     """Complementary error function, relative accuracy ~1e-14 on both tails."""
     x = _real(x, "x")
+    if math.isinf(x):
+        return 0.0 if x > 0 else 2.0
     if x > 1.5:
         return math.exp(-x * x) / _SQRT_PI / _cf_denominator(x)
     if x < -1.5:
@@ -93,6 +95,8 @@ def erfc(x):
 def log_erfc(x):
     """ln(erfc(x)) without underflow for large positive x."""
     x = _real(x, "x")
+    if x == math.inf:
+        return -math.inf
     if x > 1.5:
         return -x * x - math.log(_SQRT_PI * _cf_denominator(x))
     return math.log(erfc(x))

@@ -5,8 +5,8 @@ keyed by ``(master_seed, purpose_tag, index)``. Distinct purposes and distinct
 indices give statistically independent streams, so any single object (one
 codeword row, one simulation trial, one search block) can be regenerated in
 isolation. Work on such objects is a function of the index, mapped by
-:func:`fan_out`, so it can be split across threads without changing a single
-bit of output.
+:func:`fan_out` or :func:`fan_out_iter`, so it can be split across threads
+without changing a single bit of output.
 
 The stream of an index is the Philox generator that numpy keys from
 ``SeedSequence(seed, spawn_key=(tag, index))``. :func:`keys` derives those
@@ -24,6 +24,7 @@ The generator choice is documented behavior of this implementation, not a
 canonical part of the scheme; only the distributional contracts are.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -161,19 +162,39 @@ def bernoulli(gen, thr, shape):
     return gen.bit_generator.random_raw(shape) <= thr
 
 
-def fan_out(fn, n, threads):
-    """Return ``[fn(i) for i in range(n)]``, split over up to ``threads`` workers.
+def fan_out_iter(fn, n, threads, ahead=None):
+    """Yield ``fn(0), fn(1), ..., fn(n-1)`` in index order, computed by up to ``threads`` workers.
 
-    Each worker maps one contiguous range of indices, inline for one worker or
-    one index; an exception raised in a worker is raised here. Results come
-    back in index order, so when ``fn(i)`` depends only on ``i`` the result
-    does not depend on ``threads``.
+    One worker, or one index, runs inline on the calling thread, one call per
+    result taken. Otherwise a pool of workers takes the next index as each
+    frees up, with at most ``ahead`` (default ``threads``) calls submitted
+    ahead of the result last yielded; by default, then, at most
+    ``threads + 1`` results are alive while the caller works on one. An
+    exception raised in a worker is raised here, and calls not yet started
+    are cancelled. When ``fn(i)`` depends only on ``i``, the results do not
+    depend on ``threads``.
     """
     threads = max(1, min(threads, n))
     if threads == 1:
-        return [fn(i) for i in range(n)]
-    starts = range(0, n, -(-n // threads))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(lambda lo, hi: [fn(i) for i in range(lo, hi)],
-                          starts, [*starts[1:], n])
-        return [r for chunk in chunks for r in chunk]
+        yield from map(fn, range(n))
+        return
+    ahead = threads if ahead is None else ahead
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        window = deque(pool.submit(fn, i) for i in range(min(ahead, n)))
+        for i in range(ahead, n + ahead):
+            result = window.popleft().result()
+            if i < n:
+                window.append(pool.submit(fn, i))
+            yield result
+            del result  # not held while the next one is awaited
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def fan_out(fn, n, threads):
+    """Return ``[fn(i) for i in range(n)]``, computed as :func:`fan_out_iter` does.
+
+    Every result is kept, so no window bounds how far the workers run ahead.
+    """
+    return list(fan_out_iter(fn, n, threads, ahead=n))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .codegen import _row_spans, _unpack, _user_indices
 from .errors import ParameterError
-from .model import _bits, _real, g0, g1
+from .model import _bits, _integer, _real, g0, g1
 
 # Bits per scoring block: 512 KiB as float64.
 _BLOCK_BITS = 1 << 16
@@ -147,13 +147,14 @@ def trace(cb, y, Z, threads=1, coalition=None):
     one block of whole 4-row groups at a time (:func:`_score_blocks`); chunks
     end on 4-row groups too, so every score is the same float for any chunk
     size and any BLAS thread count. A thread fan-out over the blocks ran
-    slower than one thread, so ``threads`` is kept for API compatibility and
-    is not used.
+    slower than one thread, so ``threads`` is kept for API compatibility; it
+    is checked but not used.
     When ``coalition`` (user indices) is given, the report carries their
     collective sum as well: the sum of their scores, so a file is read once.
     """
     if math.isnan(_real(Z, "threshold")):
         raise ParameterError("threshold must be a real number or +/-inf", param="threshold")
+    _integer(threads, "threads", 1)
     idx = None if coalition is None else _user_indices(coalition, cb.n)
     p = cb.bias.p
     mask, w, base = _score_pieces(_bits_of(y), p)

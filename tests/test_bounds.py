@@ -449,6 +449,14 @@ class TestSearchTable:
         with pytest.raises(ParameterError):
             emit_search_table([4], [0.1], iterations=10, **{"seed": 0, **kw})
 
+    @pytest.mark.parametrize("c0_list, R_list, param", [
+        (5, [1.0], "c0"), ([], [1.0], "c0"), ([4], 1.0, "ratio R"), ([4], (), "ratio R")])
+    def test_list_that_is_not_a_nonempty_list_rejected(self, c0_list, R_list, param):
+        # A bare number used to end in TypeError: 'int' object is not iterable.
+        with pytest.raises(ParameterError, match=f"the {param} values") as err:
+            emit_search_table(c0_list, R_list, iterations=10, seed=0)
+        assert err.value.param == param
+
     def test_csv_format(self):
         tab = emit_search_table([10], [0.02], iterations=2000, seed=0)
         buf = io.StringIO()

@@ -395,14 +395,29 @@ class TestConfigAndLogging:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is most of the start-up time and only quadrature needs it.
+    @staticmethod
+    def fresh(code):
+        """stdout of ``code`` run in a fresh interpreter that imports the package from src."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, tardos.cli; print('scipy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is most of the start-up time and only quadrature needs it.
+        assert self.fresh("import sys, tardos.cli; print('scipy' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_the_liblzma_lookup_undone(self):
+        # crc64 looks liblzma up on its first call. numpy itself loads ctypes,
+        # and _lzma through shutil, so the import may load those only if numpy
+        # does; ctypes.util is loaded by the lookup alone.
+        code = ("import sys, numpy; names = ('ctypes', '_lzma', 'ctypes.util'); "
+                "numpy_loads = {m for m in names if m in sys.modules}; "
+                "import tardos.cli, tardos.codegen as c; "
+                "print(sorted({m for m in names if m in sys.modules} - numpy_loads), "
+                "c._lzma_crc64.cache_info().currsize)")
+        assert self.fresh(code) == "[] 0"
 
 
 class TestExitCodes:

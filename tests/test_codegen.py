@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,6 @@ from tardos import (
     save_codebook,
 )
 from tardos import codegen
-from tardos.codegen import _CRC_TABLES, _LANE_WORDS, _MAX_LANES, _MIN_LANES
 from tardos.rng import TAG_ROW, stream
 
 from conftest import chi_square_gof
@@ -36,13 +36,34 @@ from conftest import chi_square_gof
 _MASK64 = (1 << 64) - 1
 
 
+def _crc_table():
+    """The bytewise CRC-64/XZ table, built here from the reflected polynomial."""
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xC96C5795D7870F42 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+
+
 def crc64_bytewise(data, crc=0):
     """Reference CRC-64/XZ, one table lookup per byte: the oracle for crc64."""
-    t0 = _CRC_TABLES[0]
     state = (crc ^ _MASK64) & _MASK64
     for byte in bytes(data):
-        state = (state >> 8) ^ t0[(state ^ byte) & 0xFF]
+        state = (state >> 8) ^ _CRC_TABLE[(state ^ byte) & 0xFF]
     return state ^ _MASK64
+
+
+def both_paths(monkeypatch):
+    """Yield "liblzma", then "scalar" with the liblzma lookup forced to fail,
+    so a loop over it runs its body on both of crc64's paths."""
+    yield "liblzma"
+    monkeypatch.setattr(codegen, "_lzma_crc64", lambda: None)
+    yield "scalar"
 
 
 def small_params(**kw):
@@ -52,69 +73,93 @@ def small_params(**kw):
 
 
 class TestCrc64:
-    def test_check_value(self):
+    def test_check_value(self, monkeypatch):
         # Standard check string for this polynomial/reflection convention.
-        assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+        for _ in both_paths(monkeypatch):
+            assert crc64(b"123456789") == 0x995DC9BBDF1939FA
 
-    def test_empty(self):
-        assert crc64(b"") == 0
+    def test_empty(self, monkeypatch):
+        for _ in both_paths(monkeypatch):
+            assert crc64(b"") == 0
+            assert crc64(b"", 12345) == 12345
 
-    # Smallest input that takes the lane path, and the smallest with the most
-    # lanes; each is an exact multiple of its lane count times 8 bytes.
-    LANE_MIN = 8 * _MIN_LANES * _LANE_WORDS
-    LANE_MAX = 8 * _MAX_LANES * _LANE_WORDS
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="CPython's _lzma on Linux links liblzma")
+    def test_fast_path_found_on_linux(self):
+        assert codegen._lzma_crc64() is not None
 
+    def test_library_failing_the_check_value_is_not_used(self, monkeypatch):
+        import ctypes
+
+        class Broken:
+            def __init__(self, name):
+                self.lzma_crc64 = ctypes.CFUNCTYPE(
+                    ctypes.c_uint64, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint64)(
+                        lambda buf, size, crc: 0)
+
+        monkeypatch.setattr(ctypes, "CDLL", Broken)
+        assert codegen._lzma_crc64.__wrapped__() is None
+
+    # Sizes around 8 KiB, 256 KiB and 768 KiB, with whole words, ragged tails
+    # and word remainders, and a few odd sizes.
     def sizes(self):
         out = {1, 7, 64, 1025, 100_000}
-        for edge in (self.LANE_MIN, self.LANE_MAX, 3 * self.LANE_MAX):
+        for edge in (8192, 262_144, 786_432):
             out.update(edge + d for d in (-8, -7, -1, 0, 1, 7, 8))
-        # Lane bodies with a remainder of whole words and a ragged tail.
-        out.update({self.LANE_MIN + 8 * 5 + 3, self.LANE_MAX + 8 * 4095 + 5})
+        out.update({8192 + 8 * 5 + 3, 262_144 + 8 * 4095 + 5})
         return sorted(out)
 
-    def test_matches_bytewise_reference(self):
+    def test_matches_bytewise_reference(self, monkeypatch):
         sizes = self.sizes()
         blob = np.random.default_rng(11).integers(
             0, 256, size=sizes[-1], dtype=np.uint8).tobytes()
         # The oracle walks the blob once, chained from one cut to the next.
-        ref, lo = 0, 0
+        refs, ref, lo = [], 0, 0
         for size in sizes:
             ref = crc64_bytewise(blob[lo:size], ref)
+            refs.append(ref)
             lo = size
-            assert crc64(blob[:size]) == ref, size
+        for path in both_paths(monkeypatch):
+            for size, ref in zip(sizes, refs):
+                assert crc64(blob[:size]) == ref, (path, size)
 
-    def test_sizes_cover_both_paths(self):
-        counts = [codegen._lane_count(size // 8) for size in self.sizes()]
-        assert 0 in counts and _MIN_LANES in counts and _MAX_LANES in counts
-
-    def test_chaining_through_lane_path(self):
+    def test_chaining_across_a_cut(self, monkeypatch):
         rng = np.random.default_rng(12)
-        blob = rng.integers(0, 256, size=self.LANE_MAX + 4101, dtype=np.uint8).tobytes()
-        cut = self.LANE_MIN + 13
-        head = crc64(blob[:cut])
-        assert head == crc64_bytewise(blob[:cut])
-        assert crc64(blob[cut:], head) == crc64_bytewise(blob[cut:], head)
-        assert crc64(blob[cut:], head) == crc64(blob)
-        seed = 0x0123456789ABCDEF
-        assert crc64(blob, seed) == crc64_bytewise(blob, seed)
+        blob = rng.integers(0, 256, size=262_144 + 4101, dtype=np.uint8).tobytes()
+        cut, seed = 8192 + 13, 0x0123456789ABCDEF
+        head = crc64_bytewise(blob[:cut])
+        tail = crc64_bytewise(blob[cut:], head)
+        seeded = crc64_bytewise(blob, seed)
+        for path in both_paths(monkeypatch):
+            assert crc64(blob[:cut]) == head, path
+            assert crc64(blob[cut:], head) == tail == crc64(blob), path
+            assert crc64(blob, seed) == seeded, path
 
-    def test_buffer_types(self):
+    def test_buffer_types(self, monkeypatch):
         rng = np.random.default_rng(13)
-        for size in (1029, self.LANE_MIN + 21):
-            blob = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-            want = crc64_bytewise(blob)
-            assert crc64(bytearray(blob)) == want
-            assert crc64(memoryview(blob)) == want
-            assert crc64(memoryview(b"xx" + blob)[2:]) == want
-        words = rng.integers(0, 1 << 63, size=self.LANE_MIN // 8, dtype=np.uint64)
-        assert crc64(memoryview(words)) == crc64_bytewise(words.tobytes())
+        blobs = [rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+                 for size in (1029, 8192 + 21)]
+        words = rng.integers(0, 1 << 63, size=1024, dtype=np.uint64)
+        frozen = words.copy()
+        frozen.setflags(write=False)
+        for path in both_paths(monkeypatch):
+            for blob in blobs:
+                want = crc64_bytewise(blob)
+                assert crc64(bytearray(blob)) == want, path
+                assert crc64(memoryview(blob)) == want, path
+                assert crc64(memoryview(b"xx" + blob)[2:]) == want, path
+                assert crc64(list(blob)) == want, path
+            want = crc64_bytewise(words.tobytes())
+            assert crc64(memoryview(words)) == crc64(frozen) == want, path
+            assert crc64(words[::2]) == crc64_bytewise(words[::2].tobytes()), path
 
-    def test_streaming_equals_one_shot(self):
+    def test_streaming_equals_one_shot(self, monkeypatch):
         blob = bytes(range(256)) * 17
-        acc = 0
-        for lo in range(0, len(blob), 97):
-            acc = crc64(blob[lo:lo + 97], acc)
-        assert acc == crc64(blob)
+        for path in both_paths(monkeypatch):
+            acc = 0
+            for lo in range(0, len(blob), 97):
+                acc = crc64(blob[lo:lo + 97], acc)
+            assert acc == crc64(blob) == crc64_bytewise(blob), path
 
 
 class TestBiasVector:
@@ -421,13 +466,14 @@ class TestCodebookFile:
 
 @pytest.fixture(scope="module", params=["small", "lanes"])
 def saved_blob(request, tmp_path_factory):
-    """A saved codebook's bytes: one file under the lane threshold, one over."""
+    """A saved codebook's bytes: one file under 1 KiB and one over 8 KiB. (The
+    ids name the CRC-64 paths that the two sizes took before liblzma did it.)"""
     m, n = (96, 7) if request.param == "small" else (1000, 40)
     sp = small_params(m=m, n=n)
     path = tmp_path_factory.mktemp("fuzz") / "cb.bin"
     save_codebook(gen_matrix(n, sample_bias(m, sp.t, seed=31), seed=31, params=sp), path)
     blob = path.read_bytes()
-    assert (codegen._lane_count((len(blob) - 8) // 8) > 0) == (request.param == "lanes")
+    assert len(blob) < 1024 if request.param == "small" else len(blob) > 8192
     return blob
 
 

@@ -54,6 +54,13 @@ class TestErfc:
         # The series used to run on forever at NaN.
         assert math.isnan(erfc(math.nan)) and math.isnan(log_erfc(math.nan))
 
+    def test_infinities_give_the_limits(self):
+        # The continued fraction used to end in inf * 0 = NaN at infinity.
+        assert (erfc(math.inf), erfc(-math.inf)) == (0.0, 2.0)
+        assert log_erfc(math.inf) == -math.inf
+        assert log_erfc(-math.inf) == math.log(2.0)
+        assert (erfc(1e300), erfc(-1e300), log_erfc(1e300)) == (0.0, 2.0, -math.inf)
+
     def test_vectorized_path_matches_scalar(self):
         from tardos.gaussian import _erfc_vec
 

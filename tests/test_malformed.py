@@ -447,6 +447,12 @@ SCALAR_ENTRIES = {
     "ClosedFormInputs eps1": (lambda v: closed_form(eps1=v), not_reals(0.0, 1.0)),
     "ClosedFormInputs eps2": (lambda v: closed_form(eps2=v), not_reals(0.0, 1.0)),
     "search_min_A eps2": (lambda v: search_min_A(4, 1e-10, v, 10, 0), not_reals(0.0, 1.0)),
+    # trace, search_min_A and emit_search_table check a threads they do not use.
+    "trace threads": (lambda v: trace(BOOK, Y, 0.0, threads=v), not_integers(1, math.inf)),
+    "search_min_A threads": (lambda v: search_min_A(4, 1e-10, 1e-3, 10, 0, threads=v),
+                             not_integers(1, math.inf)),
+    "emit_search_table threads": (lambda v: emit_search_table([4], [1.0], 10, 0, threads=v),
+                                  not_integers(1, math.inf)),
     "search_min_A seed": (lambda v: search_min_A(4, 1e-10, 1e-3, 10, v), not_integers(*SEEDS)),
     "emit_search_table c0_list": (lambda v: emit_search_table([v], [1.0], 10, 0),
                                   not_integers(1, _C0_MAX)),
@@ -525,9 +531,6 @@ EXEMPT = {
     "* g1_choice": "'tardos' or a function, which nu checks by probing it",
     "* strategy": "a kind name, a psi table or a Strategy, which Strategy.of checks",
     "* kind": "a name that strategy_psi and BiasDistribution look up; a Strategy's is a label",
-    "trace threads": "kept for API compatibility and not used",
-    "search_min_A threads": "kept for API compatibility and not used",
-    "emit_search_table threads": "kept for API compatibility and not used",
     "crc64 data": "any buffer or iterable of bytes; bytes() raises TypeError on anything else",
     "Codebook rows": "packed words: Codebook takes only a 2-d little-endian u64 array",
 }

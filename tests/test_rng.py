@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tardos import ParameterError
-from tardos.rng import (_stream_range, bernoulli, check_seed, fan_out, keys, stream,
-                        thresholds)
+from tardos.rng import (_stream_range, bernoulli, check_seed, fan_out, fan_out_iter, keys,
+                        stream, thresholds)
 
 U64 = 2 ** 64
 
@@ -33,28 +33,44 @@ def _record(n, threads):
     return fan_out(fn, n, threads), calls
 
 
-def _ranges(calls):
-    """The ranges each thread mapped: its runs of consecutive indices."""
-    runs = {}
-    for i, tid in calls:
-        own = runs.setdefault(tid, [])
-        if own and own[-1][1] == i:
-            own[-1][1] = i + 1
-        else:
-            own.append([i, i + 1])
-    return [tuple(r) for own in runs.values() for r in own]
-
-
 @pytest.mark.parametrize("n, threads", [(1, 1), (1, 4), (3, 8), (2, 2), (7, 2),
                                         (10, 3), (12, 4), (5, 1)])
 def test_each_index_filled_exactly_once(n, threads):
-    _, calls = _record(n, threads)
+    # Workers take the next index as they free up, so which thread runs an
+    # index is not fixed; only that each index runs once, on one of the workers.
+    result, calls = _record(n, threads)
+    assert result == list(range(n))
     assert sorted(i for i, _ in calls) == list(range(n))
-    ranges = _ranges(calls)
-    assert len(ranges) <= min(n, threads)
-    # Workers split [0, n) into ranges of ceil(n / workers) indices.
-    step = -(-n // min(n, threads))
-    assert all(lo % step == 0 and (hi % step == 0 or hi == n) for lo, hi in ranges)
+    assert len({tid for _, tid in calls}) <= min(n, threads)
+
+
+@pytest.mark.parametrize("n, threads", [(9, 1), (12, 2), (13, 3)])
+def test_at_most_threads_plus_one_results_alive(n, threads):
+    # The consumer is slow, so the workers run as far ahead as they may:
+    # while it holds result i, no call past index i + threads has started.
+    started, lock = [], threading.Lock()
+
+    def fn(i):
+        with lock:
+            started.append(i)
+        return i
+
+    taken = []
+    for i, value in enumerate(fan_out_iter(fn, n, threads)):
+        time.sleep(0.005)
+        with lock:
+            assert max(started) <= i + threads, (i, started)
+        taken.append(value)
+    assert taken == list(range(n))
+    assert sorted(started) == list(range(n))
+
+
+def test_iterator_starts_no_call_before_the_first_result_is_asked_for():
+    calls = []
+    it = fan_out_iter(calls.append, 4, 2)
+    time.sleep(0.005)
+    assert calls == []
+    assert list(it) == [None] * 4 and sorted(calls) == list(range(4))
 
 
 @pytest.mark.parametrize("n, threads", [(0, 3), (1, 1), (1, 4), (3, 8), (7, 2),
@@ -83,6 +99,24 @@ def test_worker_exception_reaches_caller():
     with pytest.raises(ValueError, match="fn failed at"):
         fan_out(fn, 8, 4)
     assert raised_in and threading.get_ident() not in raised_in
+
+
+def test_iterator_worker_exception_reaches_caller_and_cancels_the_rest():
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 2:
+            raise ValueError("fn failed at 2")
+        time.sleep(0.002)
+        return i
+
+    it = fan_out_iter(fn, 50, 2)
+    assert [next(it), next(it)] == [0, 1]
+    with pytest.raises(ValueError, match="fn failed at 2"):
+        next(it)
+    assert max(started) <= 3  # the last index submitted when index 2 failed
+    assert list(it) == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])

@@ -65,6 +65,26 @@ class TestGenerate:
         save_codebook(gen_matrix(n, bias, seed=7), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    @pytest.mark.parametrize("threads, rows", [(1, 384), (2, 192), (3, 128)])
+    def test_slices_of_chunk_over_threads_keep_the_bytes(self, tmp_path, monkeypatch,
+                                                         threads, rows):
+        # Six 64-row blocks a chunk: one slice of six blocks at one thread,
+        # three at two, two at three; 1000 users end in a short slice at each.
+        m, n = 300, 1000
+        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 8 * codegen._BLOCK_ROWS * 5 * 6)
+        calls, gen = [], codegen.gen_matrix
+
+        def slice_of(k, *args, first, **kw):
+            calls.append((first, k))
+            return gen(k, *args, first=first, **kw)
+
+        monkeypatch.setattr(codegen, "gen_matrix", slice_of)
+        bias = sample_bias(m, 0.01, seed=9)
+        generate_codebook(tmp_path / "a.bin", n, bias, seed=9, threads=threads)
+        assert sorted(calls) == [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
+        save_codebook(gen(n, bias, seed=9), tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
     def test_slice_of_gen_matrix(self):
         bias = sample_bias(90, 0.01, seed=8)
         whole = gen_matrix(200, bias, seed=8)

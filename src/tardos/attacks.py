@@ -95,9 +95,10 @@ class Strategy:
     def from_csv(cls, text_or_path):
         """Load a custom table from a path or from raw CSV text.
 
-        An argument holding a newline or a comma is parsed as text.
+        An argument holding a newline is parsed as text, since every valid
+        table has at least two rows; anything else is a path, commas and all.
         """
-        if "\n" in str(text_or_path) or "," in str(text_or_path):
+        if "\n" in str(text_or_path):
             return cls.from_csv_text(str(text_or_path))
         with open(text_or_path, "r", encoding="utf-8") as fh:
             return cls.from_csv_text(fh.read())

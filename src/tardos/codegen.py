@@ -9,8 +9,8 @@ with bit-identical output for any worker count. Rows are drawn in blocks of
 :func:`rng.keys`, one Philox is re-keyed per row, and each row is packed as
 it is drawn. Each bit is an exact integer compare of a raw Philox word with
 the column's threshold (:func:`rng.bernoulli`), equal to the ``u < p_i`` of
-a uniform double. The row streams and bits are unchanged by this, so neither
-the row stream nor the file format has a new version.
+a uniform double. So the rows are those that :func:`row_bits` draws from
+:func:`rng.stream` one at a time.
 
 File format (all integers little-endian):
 
@@ -31,6 +31,7 @@ slices of about ``_CHUNK_BYTES / threads``: workers draw the next slices
 while the calling thread checksums and writes the last one.
 """
 
+import contextlib
 import functools
 import os
 import secrets
@@ -231,8 +232,7 @@ def _check_dims(params, n, m):
 def row_bits(bias, seed, j):
     """Regenerate row ``j`` alone: Bernoulli(p_i) from stream (seed, row tag, j)."""
     j = _integer(j, "j", 0, SEED_LIMIT - 1)
-    gen = next(_stream_range(seed, TAG_ROW, j, j + 1))
-    return bernoulli(gen, thresholds(bias.p), bias.m).astype(np.uint8)
+    return bernoulli(stream(seed, TAG_ROW, j), thresholds(bias.p), bias.m).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,8 @@ def generate_codebook(path, n, bias, seed, params=None, threads=1):
     slices = fan_out_iter(
         lambda k: gen_matrix(min(step, n - k * step), bias, seed, first=k * step).rows,
         -(-n // step), threads)
-    _write_codebook(path, seed, params, bias, n, slices)
+    with contextlib.closing(slices):  # a failed write stops the workers before it propagates
+        _write_codebook(path, seed, params, bias, n, slices)
 
 
 def save_codebook(cb, path):

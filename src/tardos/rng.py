@@ -17,8 +17,7 @@ Philox per index instead of opening a :func:`stream` each. Bernoulli bits come
 from :func:`bernoulli`: an exact integer compare of raw Philox words with
 :func:`thresholds`, which gives the same bits as ``gen.random(shape) < p``
 without converting the words to floats. Both are exact: the bits are those
-that :func:`stream` and ``random() < p`` give, so the streams are unchanged
-and no stream version was bumped for them.
+that :func:`stream` and ``random() < p`` give.
 
 The generator choice is documented behavior of this implementation, not a
 canonical part of the scheme; only the distributional contracts are.

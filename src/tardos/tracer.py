@@ -23,10 +23,6 @@ from .model import _bits, _integer, _real, g0, g1
 # Bits per scoring block: 512 KiB as float64.
 _BLOCK_BITS = 1 << 16
 
-# Columns per piece of a lone row's product. numpy computes one with BLAS
-# ddot, which OpenBLAS splits over threads above 10^4 elements.
-_DOT_COLUMNS = 1 << 13
-
 
 @dataclass(frozen=True)
 class PirateCopy:
@@ -88,18 +84,15 @@ def _score_blocks(block, n, w, base):
     the float that one product over all n rows gives, whatever the block
     size; a block of 2 or more rows gave the same floats at 1 and 2 BLAS
     threads (checked up to 7 rows of 10^6 columns). A lone row (only when
-    n = 1) would go to BLAS ddot, which OpenBLAS splits over threads above
-    about 10^4 elements, so it is summed in order over pieces of
-    ``_DOT_COLUMNS`` columns; up to that many it is the one product."""
+    n = 1) would go to BLAS ddot, so its score is ``base + math.fsum`` of the
+    weights of its set bits."""
     rows = 4 * max(1, _BLOCK_BITS // (4 * max(w.size, 1)))
     scores = np.empty(n, dtype=np.float64)
     for lo, hi in _row_spans(n, rows):
         if hi - lo > 1:
             scores[lo:hi] = block(lo, hi).astype(np.float64) @ w + base
         else:
-            x = block(lo, hi)[0].astype(np.float64)
-            scores[lo] = base + sum((float(x[i:i + _DOT_COLUMNS] @ w[i:i + _DOT_COLUMNS])
-                                     for i in range(0, w.size, _DOT_COLUMNS)), 0.0)
+            scores[lo] = base + math.fsum(w[block(lo, hi)[0] != 0])
     return scores
 
 

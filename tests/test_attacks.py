@@ -70,6 +70,12 @@ class TestStrategyClass:
         path.write_text("0,0\n1,0.25\n2,0.75\n3,1\n")
         assert Strategy.from_csv(str(path)).psi == (0.0, 0.25, 0.75, 1.0)
 
+    def test_from_csv_path_with_a_comma(self, tmp_path):
+        path = tmp_path / "a,b.csv"
+        path.write_text("x,psi\n0,0\n1,0.25\n2,1\n")
+        assert Strategy.from_csv(str(path)).psi == (0.0, 0.25, 1.0)
+        assert Strategy.from_csv(path).psi == (0.0, 0.25, 1.0)
+
     def test_from_csv_errors(self):
         with pytest.raises(ParameterError):
             Strategy.from_csv("0,0\n1,0.5\n1,0.6\n2,1\n")  # duplicate x

@@ -3,6 +3,7 @@ write the rows in chunks, with the bytes of the whole-matrix functions."""
 
 import io
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,29 @@ class TestGenerate:
         assert sorted(calls) == [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
         save_codebook(gen(n, bias, seed=9), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_failed_write_stops_the_workers(self, tmp_path, monkeypatch):
+        # The third checksum is the second slice's, with the next ones drawn
+        # or being drawn; the pool must be shut down before the error leaves.
+        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 1)  # one 64-row block a slice
+        calls, crc = [], codegen.crc64
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return crc(*args)
+
+        monkeypatch.setattr(codegen, "crc64", failing)
+        before = set(threading.enumerate())
+        try:
+            generate_codebook(tmp_path / "a.bin", 640, sample_bias(100, 0.01, seed=7), seed=7,
+                              threads=2)
+        except OSError:
+            assert set(threading.enumerate()) <= before
+        else:
+            pytest.fail("the failed write did not raise")
+        assert len(calls) == 3 and os.listdir(tmp_path) == []
 
     def test_slice_of_gen_matrix(self):
         bias = sample_bias(90, 0.01, seed=8)

@@ -265,24 +265,15 @@ class TestScoreBlocks:
 
 class TestDot:
     """A lone row (n = 1) is the one block ``_score_blocks`` does not hand to
-    a matrix-vector product: it sums fixed pieces of ``_DOT_COLUMNS`` in order."""
+    a matrix-vector product: its score is ``base + math.fsum`` of the weights
+    of its set bits."""
 
-    @staticmethod
-    def _lone(x, w):
-        return float(tracer._score_blocks(lambda lo, hi: x[None, :], 1, w, 0.0)[0])
-
-    @pytest.mark.parametrize("size", [0, 1, 4097, tracer._DOT_COLUMNS])
-    def test_one_piece_is_the_one_product(self, size):
+    @pytest.mark.parametrize("size", [0, 1, 4097, 8192, 2 * 8192 + 5, 40_000])
+    def test_lone_row_is_the_fsum_of_its_weights(self, size):
         g = np.random.default_rng(size)
-        x, w = g.random(size), g.standard_normal(size)
-        assert self._lone(x, w) == float(x @ w)
-
-    def test_wide_products_sum_fixed_pieces_in_order(self):
-        g = np.random.default_rng(3)
-        k = tracer._DOT_COLUMNS
-        x, w = g.integers(0, 3, 2 * k + 5), g.standard_normal(2 * k + 5)
-        pieces = [float(x[i:i + k] @ w[i:i + k]) for i in (0, k, 2 * k)]
-        assert self._lone(x, w) == (pieces[0] + pieces[1]) + pieces[2]
+        x, w = (g.random(size) < 0.5).astype(np.uint8), g.standard_normal(size)
+        got = float(tracer._score_blocks(lambda lo, hi: x[None, :], 1, w, 0.75)[0])
+        assert got.hex() == (0.75 + math.fsum(w[x == 1].tolist())).hex()  # bit for bit
 
     def test_lone_user_trace_does_not_depend_on_blas_threads(
             self, tmp_path, cli_at_blas_threads):

@@ -21,7 +21,7 @@ below measures that per-column second moment for other weight choices.
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -242,14 +242,45 @@ def bias_density(dist, p):
     return dist.density(p)
 
 
-def _quad(fn, lo, hi, tol=QUAD_TOL):
-    # Imported here: scipy costs most of the CLI's start-up time, and only the
-    # quadrature paths need it.
-    from scipy import integrate
+@cache
+def _qagse():
+    """scipy's binding of QUADPACK's ``dqagse`` from its ``integrate/_quadpack`` extension,
+    or None if it misses the known result for x^2 over [0, 1]."""
+    import importlib.machinery as machinery
+    import importlib.util
+    name = "scipy.integrate._quadpack"
+    module = sys.modules.get(name)
+    try:
+        if module is None:  # find_spec and FileFinder import nothing
+            where = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+            spec = machinery.FileFinder(f"{where}/integrate", loaders).find_spec(name)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules.pop(name, None)  # so a later import of scipy.integrate binds it anew
+            spec.loader.exec_module(module)
+        fn = module._qagse
+        check = fn(lambda x: x * x, 0.0, 1.0, (), 0, 1e-12, 1e-12, 200)
+    except (AttributeError, ImportError, TypeError, ValueError):  # no scipy, file or binding
+        return None
+    return fn if check == (0.33333333333333337, 3.700743415417189e-15, 0) else None
 
-    # full_output keeps scipy's warning off stderr; a miss raises below.
-    val, err = integrate.quad(fn, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200,
-                              full_output=1)[:2]
+
+def _quad(fn, lo, hi, tol=QUAD_TOL):
+    tol = _positive(tol, "tol")
+    if tol * 1e-2 == 0.0:  # QUADPACK rejects it; a direct _qagse call would return 0.0
+        raise ParameterError("tol is too small: tol * 1e-2 underflows to 0", param="tol")
+    if lo == hi:  # quad's shortcut for an empty interval
+        return 0.0
+    # quad makes just this call, but scipy.integrate also loads its ODE, BVP and cubature
+    # solvers and through them scipy.special, optimize, sparse and linalg: 45 MB, 0.4 s.
+    qagse = _qagse()
+    if qagse is not None:
+        val, err = qagse(fn, lo, hi, (), 0, tol * 1e-2, tol * 1e-2, 200)[:2]
+    else:
+        from scipy import integrate
+        # full_output keeps scipy's warning off stderr; a miss raises below.
+        val, err = integrate.quad(fn, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200,
+                                  full_output=1)[:2]
     if not math.isfinite(val) or err > max(tol, tol * abs(val)):
         raise QuadratureError(
             f"quadrature did not reach tolerance {tol:g} (achieved {err:g})", achieved=err)
@@ -271,9 +302,9 @@ def expectation(dist, h, upper=None, tol=QUAD_TOL):
     Integrates in the angle variable p = sin^2 r so that the arcsine density
     becomes flat and inverse-square-root endpoints stay benign.
     """
-    tp, tol = tprime(dist.t), _positive(tol, "tol")
+    tp = tprime(dist.t)
     hi_p = 1.0 - dist.t if upper is None else float(_probs(upper, 0, "upper", *_support(dist.t)))
-    hi_r = math.asin(math.sqrt(hi_p))
+    hi_r = max(math.asin(math.sqrt(hi_p)), tp)  # upper may sit _SUPPORT_SLOP below t
 
     if dist.kind == ARCSINE:
         scale = 2.0 / (math.pi - 4.0 * tp)

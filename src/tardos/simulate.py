@@ -202,7 +202,7 @@ def _trial(cfg, dist, k):
     rows = bernoulli(g_rows, thr, (cfg.c, m)).astype(np.uint8)
     y = _forge(rows, cfg.strategy, g_forge)  # rows are bits; SimConfig checked the strategy
     mask, w, base = _score_pieces(y, p)
-    rows, thr = rows[:, mask], thr[mask]  # only the evidence columns are scored
+    rows, thr = rows[:, mask], thr[mask]  # evidence columns only; F-ordered: see _score_blocks
     coal = _score_blocks(lambda lo, hi: rows[lo:hi], cfg.c, w, base)
     scores = _score_blocks(lambda lo, hi: bernoulli(g_innocent, thr, (hi - lo, w.size)),
                            cfg.innocents_per_trial, w, base)

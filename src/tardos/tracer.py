@@ -83,9 +83,10 @@ def _score_blocks(block, n, w, base):
     rows in groups of 4 and the rows left over one by one, so each score is
     the float that one product over all n rows gives, whatever the block
     size; a block of 2 or more rows gave the same floats at 1 and 2 BLAS
-    threads (checked up to 7 rows of 10^6 columns). A lone row (only when
-    n = 1) would go to BLAS ddot, so its score is ``base + math.fsum`` of the
-    weights of its set bits."""
+    threads (checked up to 7 rows of 10^6 columns). An F-ordered block, as a
+    trial's coalition is, goes to the column-major kernel and other floats. A
+    lone row (only when n = 1) would go to BLAS ddot, so its score is
+    ``base + math.fsum`` of the weights of its set bits."""
     rows = 4 * max(1, _BLOCK_BITS // (4 * max(w.size, 1)))
     scores = np.empty(n, dtype=np.float64)
     for lo, hi in _row_spans(n, rows):

@@ -406,7 +406,22 @@ class TestColdStart:
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is most of the start-up time and only quadrature needs it.
-        assert self.fresh("import sys, tardos.cli; print('scipy' in sys.modules)") == "False"
+        code = ("import sys, tardos.cli, tardos.model as m; "
+                "print('scipy' in sys.modules, m._qagse.cache_info().currsize)")
+        assert self.fresh(code) == "False 0"
+
+    def test_quadrature_loads_quadpack_alone(self):
+        # scipy.integrate would load scipy's ODE, BVP and cubature solvers
+        # and through them the rest: about 45 MB and 0.4 s.
+        code = ("import contextlib, io, sys, tardos.cli, tardos.model as m\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert tardos.cli.main(['predict', '--c0', '6', '--eps1', '0.01',"
+                " '--eps2', '0.25']) == 0\n"
+                "    assert tardos.cli.main(['simulate', '--c0', '4', '--eps1', '0.05',"
+                " '--eps2', '0.3', '--trials', '3', '--innocents', '5']) == 0\n"
+                "heavy = ('integrate', 'special', 'optimize', 'sparse', 'linalg')\n"
+                "print([n for n in heavy if 'scipy.' + n in sys.modules], m._qagse() is not None)")
+        assert self.fresh(code) == "[] True"
 
     def test_cli_import_leaves_the_liblzma_lookup_undone(self):
         # crc64 looks liblzma up on its first call. numpy itself loads ctypes,

@@ -343,6 +343,7 @@ def above(lo, hi):
 
 
 SUMMARY = moments("interleave", 2, t=0.01)
+TOLS = st.one_of(st.sampled_from([5e-324, 1e-322]), not_reals(0.0, math.inf))
 
 
 SCALAR_ENTRIES = {
@@ -427,9 +428,9 @@ SCALAR_ENTRIES = {
     # upper lies in the support [0.01, 0.99] of DIST.
     "expectation upper": (lambda v: expectation(DIST, lambda p: p, upper=v),
                           optional(not_reals(0.0, 1.0))),
-    "expectation tol": (lambda v: expectation(DIST, lambda p: p, tol=v),
-                        not_reals(0.0, math.inf)),
-    "nu tol": (lambda v: nu(DIST, tol=v), not_reals(0.0, math.inf)),
+    # tol * 1e-2 underflows to 0 for the tiniest positive tol.
+    "expectation tol": (lambda v: expectation(DIST, lambda p: p, tol=v), TOLS),
+    "nu tol": (lambda v: nu(DIST, tol=v), TOLS),
     "wilson_interval z": (lambda v: wilson_interval(1, 10, z=v), not_reals(0.0, math.inf)),
     "SimConfig keep_scores": (lambda v: sim(keep_scores=v),
                               st.sampled_from(["no", "", 0, 1, 1.0, None, [True],

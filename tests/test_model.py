@@ -1,6 +1,9 @@
 """Weight functions, bias distributions, quadrature, and scheme parameters."""
 
+import importlib.machinery
 import math
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -11,17 +14,23 @@ from tardos import (
     BETA,
     BiasDistribution,
     DerivedConstants,
+    GeneralConditionInputs,
     ParameterError,
     QuadratureError,
     SchemeParams,
     bias_density,
+    check_general_condition,
+    clt_report,
     default_cutoff,
     expectation,
     g0,
     g1,
+    moments,
     nu,
     tprime,
 )
+from tardos import model
+from tardos.attacks import KINDS
 from tardos.model import (_check_cutoff, _check_rate, _check_tau, _integer, _real,
                           parse_kv_text)
 
@@ -231,6 +240,13 @@ class TestExpectation:
         with pytest.raises(ParameterError):
             expectation(dist, lambda p: 1.0, upper=0.99)
 
+    def test_upper_in_the_slop_below_t_gives_zero(self):
+        # upper may sit up to _SUPPORT_SLOP below t, where its angle is below
+        # t'; the mean of p >= 0 over no mass is 0, not a negative number.
+        dist = BiasDistribution(ARCSINE, t=0.01)
+        assert expectation(dist, lambda p: p, upper=0.01 - 5e-13) == 0.0
+        assert expectation(dist, lambda p: p, upper=0.01) == 0.0
+
     def test_unreachable_tolerance_raises(self):
         dist = BiasDistribution(ARCSINE, t=0.01)
         with warnings.catch_warnings():
@@ -268,6 +284,89 @@ class TestNu:
             nu(dist, g1_choice="other")
         with pytest.raises(ParameterError):
             nu(dist, g1_choice=lambda p: -1.0)
+
+
+# Every integrand the package hands to model._quad, by the public call that makes it.
+T = default_cutoff(10)
+BETA_DIST = BiasDistribution(BETA, t=0.01, a=0.7, b=1.3)
+QUAD_CALLS = {
+    **{f"moments {kind} c={c}": (lambda kind=kind, c=c: moments(kind, c, t=default_cutoff(c)))
+       for kind in KINDS for c in (1, 2, 7, 20, 40)},
+    "clt_report": lambda: clt_report(10, t=T),
+    "_beta_normalizer": lambda: model._beta_normalizer.__wrapped__(0.7, 1.3, 0.01),
+    "expectation": lambda: [
+        expectation(BiasDistribution(ARCSINE, t=T), lambda p: p * p),
+        expectation(BiasDistribution(ARCSINE, t=T), lambda p: 1.0, upper=0.25),
+        expectation(BiasDistribution(ARCSINE, t=T), lambda p: 1.0, upper=T),
+        expectation(BETA_DIST, lambda p: p, upper=0.5)],
+    "nu": lambda: [nu(BiasDistribution(ARCSINE, t=T)), nu(BETA_DIST),
+                   nu(BiasDistribution(ARCSINE, t=T), g1_choice=lambda p: 1.0)],
+    "check_general_condition": lambda: [
+        check_general_condition(GeneralConditionInputs(dist=dist, c=10, alpha2=1e-3, L=4.0))
+        for dist in (BiasDistribution(ARCSINE, t=T), BiasDistribution(BETA, t=T, a=1.0, b=1.0),
+                     BETA_DIST)],
+}
+
+
+class TestQuadraturePaths:
+    """model._quad calls scipy's dqagse binding, loaded without scipy.integrate;
+    scipy.integrate.quad, which calls the same binding, is the reference."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Route every _quad through the direct binding, check each call's value
+        and error estimate against quad's bit for bit, and list the calls."""
+        from scipy import integrate
+
+        direct, calls = model._qagse(), []
+        assert direct is not None
+
+        def both(fn, lo, hi, args, full_output, epsabs, epsrel, limit):
+            got = direct(fn, lo, hi, args, full_output, epsabs, epsrel, limit)
+            want = integrate.quad(fn, lo, hi, args, 1, epsabs, epsrel, limit)[:2]
+            assert repr(got[:2]) == repr(tuple(want)), (lo, hi, epsabs)
+            calls.append((lo, hi))
+            return got
+
+        monkeypatch.setattr(model, "_qagse", lambda: both)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(QUAD_CALLS))
+    def test_direct_path_gives_quads_floats(self, compared, case):
+        QUAD_CALLS[case]()
+        assert compared
+
+    def test_empty_interval_is_zero_without_a_call(self, compared):
+        assert model._quad(math.sin, 0.3, 0.3) == 0.0
+        assert not compared
+
+    @pytest.mark.parametrize("fault", ["no extension", "check value missed"])
+    def test_fallback_gives_the_same_floats(self, monkeypatch, fault):
+        # Imported first, so that the fallback's quad holds the real extension.
+        from scipy import integrate  # noqa: F401
+
+        want = repr([QUAD_CALLS[case]() for case in sorted(QUAD_CALLS)])
+        monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack", raising=False)
+        if fault == "no extension":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:  # an extension whose _qagse is off by an ulp
+            monkeypatch.setitem(sys.modules, "scipy.integrate._quadpack", types.SimpleNamespace(
+                _qagse=lambda *args: (1.0 / 3.0, 3.700743415417189e-15, 0)))
+        found = model._qagse.__wrapped__()
+        assert found is None
+        monkeypatch.setattr(model, "_qagse", lambda: found)
+        assert repr([QUAD_CALLS[case]() for case in sorted(QUAD_CALLS)]) == want
+
+    def test_a_later_scipy_integrate_import_gives_the_same_floats(self, python_at_blas_threads):
+        code = ("import math, sys; from tardos import model; "
+                "f = lambda r: math.sin(r) ** 4 / math.cos(r) ** 2; "
+                "direct = model._quad(f, 0.1, 1.4); "
+                "assert model._qagse() is not None and 'scipy.integrate' not in sys.modules; "
+                "from scipy import integrate; "
+                "print(direct == integrate.quad(f, 0.1, 1.4, epsabs=1e-12, epsrel=1e-12, "
+                "limit=200)[0] == model._quad(f, 0.1, 1.4), "
+                "model._qagse.__wrapped__() is not None)")
+        assert python_at_blas_threads(code, 1).split() == ["True", "True"]
 
 
 class TestSchemeParams:

@@ -207,6 +207,16 @@ class TestDeterminism:
         assert "innocent moments" in one
         assert cli_at_blas_threads(argv, 2) == one
 
+    def test_coalition_scores_pin(self):
+        # The coalition rows reach OpenBLAS F-ordered (simulate._trial); a
+        # C-ordered copy moves the last digits of these sums.
+        rep = run(SimConfig(params=make_params(m=800, Z=30.0), strategy="interleave", c=6,
+                            trials=3, innocents_per_trial=4, seed=5))
+        assert [repr(v) for v in rep.trial_coalition_total] == [
+            "198.7583802978097", "194.85495090497307", "244.7748295886247"]
+        assert [repr(v) for v in rep.trial_coalition_max] == [
+            "67.37285751979311", "49.72047838651156", "70.16103085098416"]
+
     def test_seed_changes_outcome(self):
         base = self._cfg(1)
         other = SimConfig(params=base.params, strategy="interleave", c=6,

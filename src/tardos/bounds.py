@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyWindowError, InfeasibleError, ParameterError, TardosError
 from .model import (_C0_MAX, ARCSINE, BiasDistribution, _check_cutoff, _check_rate, _integer,
                     _ln_ceil, _positive, _quad, _real, expectation, g1, nu as nu_functional)
-from .rng import SEED_LIMIT, TAG_SEARCH, check_seed, stream
+from .rng import SEED_LIMIT, TAG_SEARCH, _deprecated_threads, check_seed, stream
 
 log = logging.getLogger(__name__)
 
@@ -418,7 +418,7 @@ def _search_block(c0, R, seed, block_index, size, cut=math.inf):
     return best[0], best[1], {"no_alpha2": no_alpha2, "invalid_draw": invalid}
 
 
-def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
+def search_min_A(c0, eps1, eps2, iterations, seed, threads=None):
     """Uniform randomized search for the smallest admissible A.
 
     Per iteration: draw t ~ U(0, 1/(2 c0)); draw alpha1 ~ U(0, min(1.7
@@ -439,10 +439,10 @@ def search_min_A(c0, eps1, eps2, iterations, seed, threads=1):
     alpha2 <= cap in floating point too, so A >= A_lb, and a row wins only
     with an A strictly below the best before it. While nothing is feasible
     the cut is inf, so the counts of an InfeasibleError are unchanged.
-    ``threads`` is kept for API compatibility; it is checked but not used.
+    ``threads`` is deprecated: passing it only warns.
     """
+    _deprecated_threads(threads, "search_min_A")
     iterations = _integer(iterations, "iterations", 1)
-    _integer(threads, "threads", 1)
     c0 = _integer(c0, "c0", 1, _C0_MAX)
     R = _ratio(eps1, eps2)
 
@@ -527,21 +527,21 @@ def _nonempty(values, what):
     return values
 
 
-def emit_search_table(c0_list, R_list, iterations, seed, threads=1, eps1=1e-10):
+def emit_search_table(c0_list, R_list, iterations, seed, threads=None, eps1=1e-10):
     """Run :func:`search_min_A` over every (R, c0) cell.
 
     A depends on the two error targets only through R = ln(eps2)/ln(eps1), so
     cells fix eps1 (default 1e-10) and set eps2 = eps1^R. Each cell uses its
     own seed, seed + k mod 2^64 for cell k; per-cell auxiliary ratios are
     logged, not returned. Cells run serially, like the blocks of each search;
-    ``threads`` is kept for API compatibility; it is checked but not used.
+    ``threads`` is deprecated: passing it only warns.
     """
+    _deprecated_threads(threads, "emit_search_table")
     # Every cell's c0 and R is checked before the first cell runs.
     c0_list = tuple(_integer(c0, "c0", 1, _C0_MAX) for c0 in _nonempty(c0_list, "c0"))
     R_list = _nonempty(R_list, "ratio R")
     eps2_list = [eps2_for_ratio(eps1, R) for R in R_list]
     seed = check_seed(seed)
-    _integer(threads, "threads", 1)
     results = []
     cell = 0
     for R, eps2 in zip(R_list, eps2_list):

@@ -248,10 +248,11 @@ def _add_common(sub, *flags):
         sub.add_argument("--eps2", type=float, default=None,
                          help="coalition-escape probability target")
     if "strategy" in flags:
-        sub.add_argument("--strategy", default="extremal",
-                         help="built-in strategy name (default extremal)")
-        sub.add_argument("--psi-csv", default=None,
-                         help="custom strategy table: a CSV file of rows 'x,psi(x)'")
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--strategy", default="extremal",
+                           help="built-in strategy name (default extremal)")
+        group.add_argument("--psi-csv", default=None,
+                           help="custom strategy table: a CSV file of rows 'x,psi(x)'")
 
 
 def build_parser():
@@ -267,7 +268,7 @@ def build_parser():
     parser.add_argument("--threads", type=_positive_int,
                         default=os.cpu_count() or 1,
                         help="worker threads for generate and simulate; "
-                             "trace, search and table run serially "
+                             "the other subcommands run serially "
                              "(default: machine parallelism)")
     parser.add_argument("--verbose", action="store_true",
                         help="debug-level logging")
@@ -307,9 +308,10 @@ def build_parser():
                                        "length coefficient")
     s.add_argument("--c0", type=_positive_int, required=True)
     s.add_argument("--eps1", type=float, default=1e-10)
-    s.add_argument("--eps2", type=float, default=None)
-    s.add_argument("--ratio", type=float, default=None,
-                   help="ln(eps2)/ln(eps1); overrides --eps2")
+    target = s.add_mutually_exclusive_group()
+    target.add_argument("--eps2", type=float, default=None)
+    target.add_argument("--ratio", type=float, default=None,
+                        help="ln(eps2)/ln(eps1), in place of --eps2")
     s.add_argument("--iterations", type=_positive_int, required=True)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_search)

@@ -4,8 +4,8 @@ A codebook is the secret pair (bias vector p, n x m bit matrix X). Rows are
 user codewords; entry (j, i) is Bernoulli(p_i). Every row is generated from
 its own random stream keyed by (seed, TAG_ROW, row index), so a single row
 can be regenerated without touching the others and generation parallelizes
-with bit-identical output for any worker count. Rows are drawn in blocks of
-:data:`_BLOCK_ROWS`: the block's row keys are derived in bulk by
+with bit-identical output for any worker count. Rows are drawn in spans of
+:func:`_chunk_rows` rows: the span's row keys are derived in bulk by
 :func:`rng.keys`, one Philox is re-keyed per row, and each row is packed as
 it is drawn. Each bit is an exact integer compare of a raw Philox word with
 the column's threshold (:func:`rng.bernoulli`), equal to the ``u < p_i`` of
@@ -23,12 +23,11 @@ liblzma's ``lzma_crc64`` through ctypes where it can be found (see
 :func:`crc64`) and by a slice-by-8 Python loop otherwise.
 
 One writer (:func:`_write_codebook`) and one reader (:class:`CodebookFile`)
-handle the format. The writer takes the rows as a sequence of chunks, and the
-reader yields them in chunks of whole 4-row groups of about
-:data:`_CHUNK_BYTES`, so the CLI's ``attack`` and ``trace`` hold one chunk of
-rows at a time, not the whole matrix. :func:`generate_codebook` holds a few
-slices of about ``_CHUNK_BYTES / threads``: workers draw the next slices
-while the calling thread checksums and writes the last one.
+handle the format, in chunks of rows sized by :func:`_chunk_rows`, so the
+CLI's ``generate``, ``attack`` and ``trace`` hold a few chunks at a time, not
+the whole matrix: the reader yields whole 4-row groups of about
+:data:`_CHUNK_BYTES`, and :func:`generate_codebook` writes slices of about
+``_CHUNK_BYTES / threads`` that workers draw ahead.
 """
 
 import contextlib
@@ -45,20 +44,14 @@ from .errors import (CapacityError, CodebookChecksumError, CodebookFormatError,
 from .model import (ARCSINE, BiasDistribution, SchemeParams, _check_cutoff, _integer, _probs,
                     _real_array, _support)
 from .rng import (SEED_LIMIT, TAG_BIAS, TAG_ROW, _stream_range, bernoulli, check_seed, fan_out,
-                  fan_out_iter, stream, thresholds)
+                  stream, thresholds)
 
 MAGIC = b"TRDC"
 VERSION = 1
 
-# Rows keyed by one :func:`rng.keys` call and drawn by one re-keyed Philox;
-# each row is packed as it is drawn, so a worker holds one row at a time.
-_BLOCK_ROWS = 64
-
-# Rows per chunk of a streamed codebook file, read or written: about this many
-# bytes, in whole groups (4-row groups when read; _BLOCK_ROWS blocks when
-# generated, divided among the threads). The pipeline at n = 10^4 took the
-# same time with 1, 2 and 4 MiB chunks on a 2-CPU x86-64 host; smaller chunks
-# hold less.
+# Bytes of packed rows per chunk, drawn, written or read (see _chunk_rows).
+# The pipeline at n = 10^4 took the same time with 1, 2 and 4 MiB chunks on a
+# 2-CPU x86-64 host; smaller chunks hold less.
 _CHUNK_BYTES = 1 << 20
 
 # Default memory budget for a single codebook: 2^33 bits = 1 GiB, counting the
@@ -184,6 +177,11 @@ def _words_per_row(m):
     return (m + 63) // 64
 
 
+def _chunk_rows(words, threads=1):
+    """Rows of ``words`` words that fit in about ``_CHUNK_BYTES / threads``; at least one."""
+    return max(1, _CHUNK_BYTES // threads // (8 * max(words, 1)))
+
+
 def _row_spans(n, rows):
     """(lo, hi) spans of rows 0..n-1 in whole groups of ``rows`` rows, the last
     running to n and keeping at least 4 rows when n >= 4 (see
@@ -302,13 +300,15 @@ def gen_matrix(n, bias, seed, params=None, threads=1, max_bits=DEFAULT_MAX_BITS,
     rows = np.zeros((n, _words_per_row(bias.m)), dtype="<u8")
     octets, width = rows.view(np.uint8), (bias.m + 7) // 8
     thr = thresholds(bias.p)
+    spans = list(_row_spans(n, _chunk_rows(rows.shape[1], threads)))
 
-    def pack(b):
-        lo, hi = b * _BLOCK_ROWS, min(n, (b + 1) * _BLOCK_ROWS)
+    def pack(k):
+        lo, hi = spans[k]
         for j, gen in enumerate(_stream_range(seed, TAG_ROW, first + lo, first + hi), lo):
             octets[j, :width] = np.packbits(bernoulli(gen, thr, bias.m), bitorder="little")
 
-    fan_out(pack, -(-n // _BLOCK_ROWS), threads)
+    for _ in fan_out(pack, len(spans), threads):
+        pass
     return Codebook(bias=bias, rows=rows, seed=seed, params=params)
 
 
@@ -316,21 +316,18 @@ def generate_codebook(path, n, bias, seed, params=None, threads=1):
     """Generate an n-user codebook over ``bias`` straight into the file ``path``.
 
     The file is byte for byte ``save_codebook(gen_matrix(n, bias, seed,
-    params, threads), path)``, but the rows are drawn and written in slices
-    of whole :data:`_BLOCK_ROWS` blocks, so memory does not grow with n. Each
-    slice is one one-thread :func:`gen_matrix` call. With one thread the
-    slices are about :data:`_CHUNK_BYTES` and are drawn inline; with more,
-    they are about ``_CHUNK_BYTES / threads`` and workers draw the next ones
-    (:func:`rng.fan_out_iter`) while this thread checksums and writes each in
-    order. The budget of :func:`gen_matrix` still applies to the whole code.
+    params, threads), path)``, but each span that :func:`gen_matrix` would
+    draw is one slice, drawn by a one-thread :func:`gen_matrix` call and
+    written in order, so memory does not grow with n. Workers draw the next
+    slices (:func:`rng.fan_out`) while this thread checksums and writes. The
+    budget of :func:`gen_matrix` still applies to the whole code.
     """
     seed, n = check_seed(seed), _check_capacity(n, bias.m)
     threads = _integer(threads, "threads", 1)
-    blocks = _CHUNK_BYTES // threads // (8 * _BLOCK_ROWS * _words_per_row(bias.m))
-    step = _BLOCK_ROWS * max(1, blocks)
-    slices = fan_out_iter(
-        lambda k: gen_matrix(min(step, n - k * step), bias, seed, first=k * step).rows,
-        -(-n // step), threads)
+    spans = list(_row_spans(n, _chunk_rows(_words_per_row(bias.m), threads)))
+    slices = fan_out(
+        lambda k: gen_matrix(spans[k][1] - spans[k][0], bias, seed, first=spans[k][0]).rows,
+        len(spans), threads)
     with contextlib.closing(slices):  # a failed write stops the workers before it propagates
         _write_codebook(path, seed, params, bias, n, slices)
 
@@ -477,9 +474,8 @@ class CodebookFile:
     def chunks(self, out=None):
         """Yield ``(lo, rows)``: the packed rows lo..lo+len(rows)-1, front to back.
 
-        The rows come in chunks of whole 4-row groups of about
-        :data:`_CHUNK_BYTES`, read into one buffer that the next chunk
-        overwrites; the last chunk runs to row n and keeps at least 4 rows.
+        The chunks are the :func:`_row_spans` of whole 4-row groups of about
+        :data:`_CHUNK_BYTES`, read into one buffer that the next overwrites.
         With ``out`` (an (n, words) array) all rows are read into it as one
         chunk. The checksum is verified before the last chunk is yielded, so
         a consumer that has seen every chunk has read a sound file. Each call
@@ -489,7 +485,7 @@ class CodebookFile:
         self._fh.seek(self._rows_at)
         cur.off, cur.crc = self._rows_at, self._head_crc
         if out is None:
-            step = 4 * max(1, _CHUNK_BYTES // (32 * max(self.words, 1)))
+            step = 4 * max(1, _chunk_rows(self.words) // 4)
             out = np.empty((min(step + 3, self.n), self.words), dtype="<u8")
         else:
             step = max(self.n, 1)

@@ -4,9 +4,9 @@ All randomness in the package flows through counter-based Philox generators
 keyed by ``(master_seed, purpose_tag, index)``. Distinct purposes and distinct
 indices give statistically independent streams, so any single object (one
 codeword row, one simulation trial, one search block) can be regenerated in
-isolation. Work on such objects is a function of the index, mapped by
-:func:`fan_out` or :func:`fan_out_iter`, so it can be split across threads
-without changing a single bit of output.
+isolation. Work on such objects is a function of the index, mapped in index
+order by :func:`fan_out`, so it can be split across threads without changing
+a single bit of output.
 
 The stream of an index is the Philox generator that numpy keys from
 ``SeedSequence(seed, spawn_key=(tag, index))``. :func:`keys` derives those
@@ -23,6 +23,7 @@ The generator choice is documented behavior of this implementation, not a
 canonical part of the scheme; only the distributional contracts are.
 """
 
+import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -161,15 +162,15 @@ def bernoulli(gen, thr, shape):
     return gen.bit_generator.random_raw(shape) <= thr
 
 
-def fan_out_iter(fn, n, threads, ahead=None):
+def fan_out(fn, n, threads):
     """Yield ``fn(0), fn(1), ..., fn(n-1)`` in index order, computed by up to ``threads`` workers.
 
     One worker, or one index, runs inline on the calling thread, one call per
     result taken. Otherwise a pool of workers takes the next index as each
-    frees up, with at most ``ahead`` (default ``threads``) calls submitted
-    ahead of the result last yielded; by default, then, at most
-    ``threads + 1`` results are alive while the caller works on one. An
-    exception raised in a worker is raised here, and calls not yet started
+    frees up, at most ``threads`` calls ahead of the result last yielded, so
+    at most ``threads + 1`` results are alive. The next index is submitted
+    before a result is awaited, so a worker that frees up finds one queued.
+    An exception raised in a worker is raised here, and calls not yet started
     are cancelled. When ``fn(i)`` depends only on ``i``, the results do not
     depend on ``threads``.
     """
@@ -177,23 +178,21 @@ def fan_out_iter(fn, n, threads, ahead=None):
     if threads == 1:
         yield from map(fn, range(n))
         return
-    ahead = threads if ahead is None else ahead
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        window = deque(pool.submit(fn, i) for i in range(min(ahead, n)))
-        for i in range(ahead, n + ahead):
-            result = window.popleft().result()
+        window = deque(pool.submit(fn, i) for i in range(threads))
+        for i in range(threads, n + threads):
             if i < n:
                 window.append(pool.submit(fn, i))
+            result = window.popleft().result()
             yield result
             del result  # not held while the next one is awaited
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def fan_out(fn, n, threads):
-    """Return ``[fn(i) for i in range(n)]``, computed as :func:`fan_out_iter` does.
-
-    Every result is kept, so no window bounds how far the workers run ahead.
-    """
-    return list(fan_out_iter(fn, n, threads, ahead=n))
+def _deprecated_threads(threads, name):
+    """Warn that ``name`` was passed ``threads``: it runs serially, so the argument is ignored."""
+    if threads is not None:
+        warnings.warn(f"{name} runs serially; its threads argument is deprecated and ignored",
+                      DeprecationWarning, stacklevel=3)

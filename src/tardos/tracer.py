@@ -8,7 +8,9 @@ columns where y shows a 1:
 A user is accused exactly when S_j > Z (strict: a score equal to the threshold
 is not an accusation). The coalition's collective sum adds its members'
 scores, as :mod:`tardos.simulate` does. Every score comes from one product
-of bits and weights, :func:`_score_blocks`.
+of bits and weights, :func:`_score_blocks`; but :func:`coalition_score`,
+``trace(..., coalition=...)`` and a sum of :func:`score_user` score the rows
+in different groups, so they agree to about 1e-12 relative, not bit for bit.
 """
 
 import math
@@ -18,7 +20,8 @@ import numpy as np
 
 from .codegen import _row_spans, _unpack, _user_indices
 from .errors import ParameterError
-from .model import _bits, _integer, _real, g0, g1
+from .model import _bits, _real, g0, g1
+from .rng import _deprecated_threads
 
 # Bits per scoring block: 512 KiB as float64.
 _BLOCK_BITS = 1 << 16
@@ -104,7 +107,7 @@ def score_user(row, y, bias):
 
 def coalition_score(rows, y, bias):
     """Collective sum of the coalition owning ``rows`` (one row per member):
-    the sum of the members' scores, as :mod:`tardos.simulate` takes it."""
+    the sum of the members' scores, to about 1e-12 relative (module docstring)."""
     mask, w, base = _score_pieces(_bits_of(y), bias.p)
     r = _bits(rows, 2, "codeword rows")
     if r.shape[1] != bias.m:
@@ -132,7 +135,7 @@ class AccusationReport:
             fh.write(f"{j},{s!r},{1 if a else 0}\n")
 
 
-def trace(cb, y, Z, threads=1, coalition=None):
+def trace(cb, y, Z, threads=None, coalition=None):
     """Score every user of codebook ``cb`` against ``y`` and apply threshold Z.
 
     ``cb`` is a :class:`~tardos.codegen.Codebook` or an open
@@ -141,14 +144,13 @@ def trace(cb, y, Z, threads=1, coalition=None):
     one block of whole 4-row groups at a time (:func:`_score_blocks`); chunks
     end on 4-row groups too, so every score is the same float for any chunk
     size and any BLAS thread count. A thread fan-out over the blocks ran
-    slower than one thread, so ``threads`` is kept for API compatibility; it
-    is checked but not used.
+    slower, so ``threads`` is deprecated: passing it only warns.
     When ``coalition`` (user indices) is given, the report carries their
     collective sum as well: the sum of their scores, so a file is read once.
     """
+    _deprecated_threads(threads, "trace")
     if math.isnan(_real(Z, "threshold")):
         raise ParameterError("threshold must be a real number or +/-inf", param="threshold")
-    _integer(threads, "threads", 1)
     idx = None if coalition is None else _user_indices(coalition, cb.n)
     p = cb.bias.p
     mask, w, base = _score_pieces(_bits_of(y), p)

@@ -10,6 +10,7 @@ import time
 from io import StringIO
 
 import numpy as np
+import pytest
 
 from tardos import (
     ARCSINE,
@@ -49,8 +50,7 @@ def test_criterion_01_search_reference_cells(capfd):
     ok, parts = True, []
     for ratio, c0, target in cells:
         start = time.perf_counter()
-        res = search_min_A(c0, 1e-10, 10.0 ** (-10.0 * ratio), 200_000,
-                           seed=0, threads=4)
+        res = search_min_A(c0, 1e-10, 10.0 ** (-10.0 * ratio), 200_000, seed=0)
         elapsed = time.perf_counter() - start
         good = (target - 0.2 <= res.A <= target + 0.7
                 and abs(res.B - 2.0 * math.sqrt(res.A)) <= 0.05
@@ -66,7 +66,7 @@ def test_criterion_02_coupled_targets_sweep(capfd):
     best, best_c0 = math.inf, None
     for c0 in (10, 15, 20, 30, 40, 60, 80):
         eps2 = math.exp((c0 / 4.0) * math.log(1e-10))
-        res = search_min_A(c0, 1e-10, eps2, 30_000, seed=0, threads=4)
+        res = search_min_A(c0, 1e-10, eps2, 30_000, seed=0)
         if res.A < best:
             best, best_c0 = res.A, c0
     elapsed = time.perf_counter() - start
@@ -231,9 +231,11 @@ def test_criterion_11_determinism(capfd, tmp_path):
         blobs.append(path.read_bytes())
     codebook_ok = blobs[0] == blobs[1] == blobs[2]
 
-    # Randomized search: repeated runs and 1 vs 8 threads.
-    runs = [search_min_A(10, 1e-10, 1e-2, 20_000, seed=4, threads=th)
-            for th in (1, 1, 8)]
+    # Randomized search: repeated runs, and the deprecated threads=8 (it
+    # runs serially and only warns).
+    with pytest.warns(DeprecationWarning, match="threads"):
+        runs = [search_min_A(10, 1e-10, 1e-2, 20_000, seed=4, threads=th)
+                for th in (None, None, 8)]
     search_ok = runs[0] == runs[1] == runs[2]
 
     # Simulation: full JSONL transcript, repeated and 1 vs 8 threads.

@@ -283,9 +283,11 @@ class TestSearch:
         assert again == small_search
 
     def test_thread_count_does_not_change_result(self, small_search):
+        # threads is deprecated: the search runs serially and only warns.
         for threads in (2, 8):
-            other = search_min_A(c0=10, eps1=1e-10, eps2=10.0 ** -0.2,
-                                 iterations=20_000, seed=0, threads=threads)
+            with pytest.warns(DeprecationWarning, match="threads"):
+                other = search_min_A(c0=10, eps1=1e-10, eps2=10.0 ** -0.2,
+                                     iterations=20_000, seed=0, threads=threads)
             assert other == small_search
 
     def test_more_iterations_never_worse(self, small_search):
@@ -408,7 +410,7 @@ GRID_R = (0.02, 0.04, 0.06, 0.08, 0.10)
 
 @pytest.fixture(scope="module")
 def search_table():
-    return emit_search_table(GRID_C0, GRID_R, iterations=100_000, seed=0, threads=4)
+    return emit_search_table(GRID_C0, GRID_R, iterations=100_000, seed=0)
 
 
 class TestSearchTable:

@@ -212,6 +212,49 @@ class TestSearch:
                             "--eps2", repr(eps2), "--iterations", "4000"])
         assert via_ratio.out == via_eps2.out
 
+    @pytest.mark.parametrize("targets", [["--eps2", "0.01", "--ratio", "0.3"],
+                                         ["--ratio", "0.3", "--eps2", "0.01"]])
+    def test_eps2_with_ratio_is_usage_error(self, run_cli, targets):
+        # Both set R; --ratio used to win and --eps2 was dropped without a word.
+        res = run_cli(["search", "--c0", "4", *targets, "--iterations", "4096"])
+        assert res.code == 2 and res.out == ""
+        assert "--eps2" in res.err and "--ratio" in res.err
+
+
+class TestStrategyFlags:
+    """``--strategy`` and ``--psi-csv`` each name the strategy, so they exclude each other."""
+
+    @staticmethod
+    def _argv(command, codebook_path, tmp_path):
+        return {"attack": ["attack", "--codebook", str(codebook_path), "--users", "0,1",
+                           "--out", str(tmp_path / "y.txt")],
+                "predict": ["predict", "--c0", "2", "--eps1", "0.1", "--eps2", "0.1"],
+                "simulate": ["simulate", "--c0", "2", "--eps1", "0.1", "--eps2", "0.3",
+                             "--trials", "1", "--innocents", "2"]}[command]
+
+    @pytest.mark.parametrize("order", ["psi-csv first", "strategy first"])
+    @pytest.mark.parametrize("command", ["attack", "predict", "simulate"])
+    def test_strategy_with_psi_csv_is_usage_error(self, codebook_path, tmp_path, run_cli,
+                                                  command, order):
+        # The table used to win, and --strategy was ignored whatever its value.
+        psi = tmp_path / "psi.csv"
+        psi.write_text("0,0\n1,0.5\n2,1\n")
+        both = (["--psi-csv", str(psi), "--strategy", "nonsense"] if order == "psi-csv first"
+                else ["--strategy", "majority", "--psi-csv", str(psi)])
+        res = run_cli(self._argv(command, codebook_path, tmp_path) + both)
+        assert res.code == 2 and res.out == ""
+        assert "--strategy" in res.err and "--psi-csv" in res.err
+        assert not (tmp_path / "y.txt").exists()
+
+    @pytest.mark.parametrize("command", ["attack", "predict", "simulate"])
+    def test_psi_csv_alone_logs_the_default_strategy(self, codebook_path, tmp_path, run_cli,
+                                                     command):
+        psi = tmp_path / "psi.csv"
+        psi.write_text("0,0\n1,0.5\n2,1\n")
+        res = run_cli(self._argv(command, codebook_path, tmp_path) + ["--psi-csv", str(psi)])
+        assert res.code == 0, res.err
+        assert f"psi_csv={psi} " in res.err and " strategy=extremal " in res.err
+
 
 class TestTable:
     def test_csv_and_cell_agreement(self, run_cli):

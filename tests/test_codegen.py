@@ -219,11 +219,13 @@ class TestGenMatrix:
         for j in (0, 4, 7):
             assert np.array_equal(cb.row(j), row_bits(bv, 3, j))
 
-    def test_rows_match_the_float_formula(self):
-        # Rows are drawn in 64-row blocks from bulk-derived keys and raw-word
+    def test_rows_match_the_float_formula(self, monkeypatch):
+        # Rows are drawn in spans from bulk-derived keys and raw-word
         # compares; they must pack the bits the per-row float formula drew,
-        # around the block edge and for every thread count.
+        # around the span edges and for every thread count. Spans here are
+        # 64 rows at one thread, 32 at two and 21 at three.
         for m in range(1, 130):
+            monkeypatch.setattr(codegen, "_CHUNK_BYTES", 8 * ((m + 63) // 64) * 64)
             bv = sample_bias(m, 1e-3, seed=m)
             bits = np.stack([stream(12, TAG_ROW, j).random(m) < bv.p for j in range(130)])
             want = np.zeros((130, 8 * ((m + 63) // 64)), dtype=np.uint8)

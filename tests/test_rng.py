@@ -1,16 +1,18 @@
-"""Seeds, bulk stream keys, raw-word Bernoulli draws, and the thread fan-out."""
+"""Seeds, bulk stream keys, raw-word Bernoulli draws, the thread fan-out, and the
+deprecated ``threads`` of the serial functions."""
 
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tardos import ParameterError
-from tardos.rng import (_stream_range, bernoulli, check_seed, fan_out, fan_out_iter, keys,
-                        stream, thresholds)
+from tardos import (ParameterError, emit_search_table, forge, gen_matrix, sample_bias,
+                    search_min_A, trace)
+from tardos.rng import _stream_range, bernoulli, check_seed, fan_out, keys, stream, thresholds
 
 U64 = 2 ** 64
 
@@ -30,7 +32,7 @@ def _record(n, threads):
         time.sleep(0.001)  # gives every worker time to start
         return i
 
-    return fan_out(fn, n, threads), calls
+    return list(fan_out(fn, n, threads)), calls
 
 
 @pytest.mark.parametrize("n, threads", [(1, 1), (1, 4), (3, 8), (2, 2), (7, 2),
@@ -56,7 +58,7 @@ def test_at_most_threads_plus_one_results_alive(n, threads):
         return i
 
     taken = []
-    for i, value in enumerate(fan_out_iter(fn, n, threads)):
+    for i, value in enumerate(fan_out(fn, n, threads)):
         time.sleep(0.005)
         with lock:
             assert max(started) <= i + threads, (i, started)
@@ -67,7 +69,7 @@ def test_at_most_threads_plus_one_results_alive(n, threads):
 
 def test_iterator_starts_no_call_before_the_first_result_is_asked_for():
     calls = []
-    it = fan_out_iter(calls.append, 4, 2)
+    it = fan_out(calls.append, 4, 2)
     time.sleep(0.005)
     assert calls == []
     assert list(it) == [None] * 4 and sorted(calls) == list(range(4))
@@ -76,7 +78,7 @@ def test_iterator_starts_no_call_before_the_first_result_is_asked_for():
 @pytest.mark.parametrize("n, threads", [(0, 3), (1, 1), (1, 4), (3, 8), (7, 2),
                                         (10, 3), (12, 4)])
 def test_results_come_back_in_index_order(n, threads):
-    assert fan_out(lambda i: i * i, n, threads) == [i * i for i in range(n)]
+    assert list(fan_out(lambda i: i * i, n, threads)) == [i * i for i in range(n)]
 
 
 @pytest.mark.parametrize("n, threads", [(1, 4), (9, 1)])
@@ -85,6 +87,13 @@ def test_one_worker_or_one_index_runs_inline(n, threads):
     assert result == list(range(n))
     assert [i for i, _ in calls] == list(range(n))
     assert {tid for _, tid in calls} == {threading.get_ident()}
+
+
+def test_inline_runs_one_call_per_result_taken():
+    calls = []
+    it = fan_out(lambda i: calls.append(i) or i, 5, 1)
+    for i in range(5):
+        assert next(it) == i and calls == list(range(i + 1))
 
 
 def test_worker_exception_reaches_caller():
@@ -97,7 +106,7 @@ def test_worker_exception_reaches_caller():
         return i
 
     with pytest.raises(ValueError, match="fn failed at"):
-        fan_out(fn, 8, 4)
+        list(fan_out(fn, 8, 4))
     assert raised_in and threading.get_ident() not in raised_in
 
 
@@ -111,11 +120,11 @@ def test_iterator_worker_exception_reaches_caller_and_cancels_the_rest():
         time.sleep(0.002)
         return i
 
-    it = fan_out_iter(fn, 50, 2)
+    it = fan_out(fn, 50, 2)
     assert [next(it), next(it)] == [0, 1]
     with pytest.raises(ValueError, match="fn failed at 2"):
         next(it)
-    assert max(started) <= 3  # the last index submitted when index 2 failed
+    assert max(started) <= 4  # the last index submitted, before index 2 was awaited
     assert list(it) == []
 
 
@@ -208,3 +217,24 @@ def test_probability_one_draws_only_ones():
 def test_thresholds_outside_unit_interval_rejected(p):
     with pytest.raises(ParameterError):
         thresholds(np.array([0.5, p]))
+
+
+def _trace_scores(**kw):
+    cb = gen_matrix(20, sample_bias(50, 0.01, seed=1), seed=1)
+    return trace(cb, forge(cb.select_bits([0, 1]), "majority", seed=2), 0.0, **kw).scores.tolist()
+
+
+@pytest.mark.parametrize("call", [
+    _trace_scores,
+    lambda **kw: search_min_A(4, 1e-10, 1e-3, 4096, 0, **kw),
+    lambda **kw: emit_search_table([4, 5], [1.0], 4096, 0, **kw),
+], ids=["trace", "search_min_A", "emit_search_table"])
+@pytest.mark.parametrize("threads", [1, 4, 0, "x"])
+def test_deprecated_threads_warns_and_changes_nothing(call, threads):
+    # These run serially; any threads value, even one a check would reject,
+    # gives the result of a call without it, with a DeprecationWarning.
+    with pytest.warns(DeprecationWarning, match="runs serially; its threads argument"):
+        result = call(threads=threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning without threads
+        assert result == call()

@@ -45,14 +45,17 @@ def write_pirate(path, m, seed=2):
 class TestGenerate:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_file_equals_save_of_gen_matrix(self, tmp_path, run_cli, monkeypatch, threads):
-        # 64-row slices, so 300 users take five, the last one short.
-        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 8 * codegen._BLOCK_ROWS * 6)
+        # Rows of 6 words in slices of 64 rows at one thread, 32 at two and 21
+        # at three: 300 users take 5, 10 and 15 slices, the last one short.
+        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 8 * 6 * 64)
+        spans = list(codegen._row_spans(300, codegen._chunk_rows(6, threads)))
+        assert len(spans) == {1: 5, 2: 10, 3: 15}[threads]
         path = tmp_path / "cli.bin"
         res = run_cli(["--seed", "5", "--threads", str(threads), "generate", "--users", "300",
                        "--c0", "3", "--eps1", "0.05", "--eps2", "0.3", "--out", str(path)])
         assert res.code == 0, res.err
         with CodebookFile(path) as f:
-            assert f.words == 6  # so the slices are 64 rows
+            assert f.words == 6  # the words the slices are sized for
             assert np.array_equal(f.bias.p, sample_bias(f.m, f.params.t, seed=5).p)
             want = gen_matrix(300, f.bias, seed=5, params=f.params)
         save_codebook(want, tmp_path / "lib.bin")
@@ -60,7 +63,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
     def test_slices_keep_row_streams(self, tmp_path, monkeypatch, n):
-        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 1)  # one 64-row block a slice
+        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 1)  # one row a slice, 4 in the last
+        assert codegen._chunk_rows(2, 2) == 1
         bias = sample_bias(100, 0.01, seed=7)
         generate_codebook(tmp_path / "a.bin", n, bias, seed=7, threads=2)
         save_codebook(gen_matrix(n, bias, seed=7), tmp_path / "b.bin")
@@ -69,10 +73,11 @@ class TestGenerate:
     @pytest.mark.parametrize("threads, rows", [(1, 384), (2, 192), (3, 128)])
     def test_slices_of_chunk_over_threads_keep_the_bytes(self, tmp_path, monkeypatch,
                                                          threads, rows):
-        # Six 64-row blocks a chunk: one slice of six blocks at one thread,
-        # three at two, two at three; 1000 users end in a short slice at each.
+        # 384 rows of 5 words a chunk: slices of 384 rows at one thread, 192
+        # at two, 128 at three; 1000 users end in a short slice at each.
         m, n = 300, 1000
-        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 8 * codegen._BLOCK_ROWS * 5 * 6)
+        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 8 * 5 * 384)
+        assert codegen._chunk_rows(5, threads) == rows
         calls, gen = [], codegen.gen_matrix
 
         def slice_of(k, *args, first, **kw):
@@ -82,14 +87,16 @@ class TestGenerate:
         monkeypatch.setattr(codegen, "gen_matrix", slice_of)
         bias = sample_bias(m, 0.01, seed=9)
         generate_codebook(tmp_path / "a.bin", n, bias, seed=9, threads=threads)
-        assert sorted(calls) == [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
+        spans = list(codegen._row_spans(n, rows))
+        assert sorted(calls) == [(lo, hi - lo) for lo, hi in spans]
+        assert n - spans[-1][0] == n % rows
         save_codebook(gen(n, bias, seed=9), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_failed_write_stops_the_workers(self, tmp_path, monkeypatch):
         # The third checksum is the second slice's, with the next ones drawn
         # or being drawn; the pool must be shut down before the error leaves.
-        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 1)  # one 64-row block a slice
+        monkeypatch.setattr(codegen, "_CHUNK_BYTES", 1)  # one row a slice
         calls, crc = [], codegen.crc64
 
         def failing(*args):

@@ -187,8 +187,10 @@ class TestTrace:
     def test_thread_count_does_not_change_scores(self, fixture_book):
         cb = fixture_book
         y = self._copy(cb)
-        one = trace(cb, y, Z=0.0, threads=1)
-        eight = trace(cb, y, Z=0.0, threads=8)
+        # threads is deprecated: trace runs serially and only warns.
+        with pytest.warns(DeprecationWarning, match="threads"):
+            one = trace(cb, y, Z=0.0, threads=1)
+            eight = trace(cb, y, Z=0.0, threads=8)
         assert np.array_equal(one.scores, eight.scores)
         assert np.array_equal(one.accused, eight.accused)
 

@@ -6,10 +6,12 @@ Subcommands mirror the library: ``generate`` (codebook file), ``attack``
 length, threshold, and normal-range report), and ``simulate`` (Monte Carlo
 rate estimation).
 
-Reproducibility: the master seed comes from --seed, the TARDOS_SEED
-environment variable, or 0, in that order; a key=value config file can
-provide defaults for any long option; the fully resolved configuration is
+Reproducibility: an option comes from its flag, else its --config key=value
+line (parsed by the running subcommand's flag, and dropped if the flag of its
+exclusive partner is given; config values for both partners are an error),
+else TARDOS_SEED (--seed only), else its default. The resolved configuration is
 logged to stderr on every run (no timestamps, so reruns are byte-identical).
+Output files are replaced whole or not at all.
 Exit codes: 0 success, 2 usage error (also a cutoff too small for the
 quadrature), 3 infeasible constraints or empty window, 4 I/O or file-format
 failure. A usage error names the flag that fed the value: the library names
@@ -20,6 +22,7 @@ import argparse
 import logging
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 
 from . import bounds, codegen, gaussian, rng, simulate, tracer
@@ -57,11 +60,11 @@ def _list_of(item, kind):
 
 @contextmanager
 def _out_stream(path):
-    """Writable text stream for ``path``; '-' means stdout."""
+    """Writable text stream for ``path``, replaced whole or not at all; '-' means stdout."""
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with codegen._atomic_open(path, "w", encoding="utf-8") as fh:
             yield fh
 
 
@@ -85,9 +88,7 @@ def _plan(args, t):
 
 
 def _log_resolved(args):
-    skip = {"func", "config"}
-    pairs = sorted((k, v) for k, v in vars(args).items()
-                   if k not in skip and not k.startswith("_"))
+    pairs = sorted((k, v) for k, v in vars(args).items() if k not in ("func", "config"))
     log.info("resolved config: %s", " ".join(f"{k}={v}" for k, v in pairs))
 
 
@@ -238,122 +239,131 @@ def cmd_simulate(args):
 # Parser assembly.
 
 
+# An option as build_parser records it: argparse gets no default and nothing
+# required, so a parsed namespace holds exactly what argv gave.
+_Option = namedtuple("_Option", "action default required group")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser with an ``options`` table (dest: :data:`_Option`) that get_default reads."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+        self.options = {}
+
+    def option(self, *flags, default=None, required=False, group=None, **kwargs):
+        """``add_argument`` (on the exclusive ``group`` if given), recorded in ``options``."""
+        if required:  # argparse is not told, so that a config file can give the value
+            kwargs["help"] = " ".join(filter(None, (kwargs.get("help"), "(required)")))
+        action = (self if group is None else group).add_argument(*flags, **kwargs)
+        self.options[action.dest] = _Option(action, default, required, group)
+
+    def get_default(self, dest):
+        return self.options[dest].default if dest in self.options else super().get_default(dest)
+
+
 def _add_common(sub, *flags):
     if "c0" in flags:
-        sub.add_argument("--c0", type=_positive_int, default=None,
-                         help="design coalition size")
+        sub.option("--c0", type=_positive_int, help="design coalition size")
     if "eps" in flags:
-        sub.add_argument("--eps1", type=float, default=None,
-                         help="innocent-accusation probability target")
-        sub.add_argument("--eps2", type=float, default=None,
-                         help="coalition-escape probability target")
+        sub.option("--eps1", type=float, help="innocent-accusation probability target")
+        sub.option("--eps2", type=float, help="coalition-escape probability target")
     if "strategy" in flags:
         group = sub.add_mutually_exclusive_group()
-        group.add_argument("--strategy", default="extremal",
-                           help="built-in strategy name (default extremal)")
-        group.add_argument("--psi-csv", default=None,
-                           help="custom strategy table: a CSV file of rows 'x,psi(x)'")
+        sub.option("--strategy", group=group, default="extremal",
+                   help="built-in strategy name (default extremal)")
+        sub.option("--psi-csv", group=group,
+                   help="custom strategy table: a CSV file of rows 'x,psi(x)'")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The parser of ``argv``; ``commands`` holds its subcommand parsers by name."""
+    parser = _Parser(
         prog="tardos",
         description="Collusion-resistant fingerprinting: codes, tracing, "
                     "attacks, provable bounds, and simulation.")
-    # A string default goes through ``type`` too, so TARDOS_SEED is checked
-    # like the flag.
-    parser.add_argument("--seed", type=_seed,
-                        default=os.environ.get("TARDOS_SEED", "0"),
-                        help="master seed (default: TARDOS_SEED or 0)")
-    parser.add_argument("--threads", type=_positive_int,
-                        default=os.cpu_count() or 1,
-                        help="worker threads for generate and simulate; "
-                             "the other subcommands run serially "
-                             "(default: machine parallelism)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="debug-level logging")
-    parser.add_argument("--config", default=None,
-                        help="key=value file providing option defaults")
+    parser.option("--seed", type=_seed, default=0,
+                  help="master seed (default: TARDOS_SEED or 0)")
+    parser.option("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                  help="worker threads for generate and simulate; the other "
+                       "subcommands run serially (default: machine parallelism)")
+    parser.option("--verbose", action="store_true", default=False, help="debug-level logging")
+    parser.option("--config", help="key=value file providing option defaults")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     g = subs.add_parser("generate", help="generate and save a codebook")
-    g.add_argument("--users", "-n", type=_positive_int, required=True)
-    g.add_argument("--length", "-m", type=_positive_int, default=None,
-                   help="code length; omit to derive from the plan flags")
-    g.add_argument("--cutoff", type=float, default=None,
-                   help="bias cutoff t (default 1/(300 c0))")
-    g.add_argument("--threshold", type=float, default=None,
-                   help="accusation threshold to store with explicit --length")
+    g.option("--users", "-n", type=_positive_int, required=True)
+    g.option("--length", "-m", type=_positive_int,
+             help="code length; omit to derive from the plan flags")
+    g.option("--cutoff", type=float, help="bias cutoff t (default 1/(300 c0))")
+    g.option("--threshold", type=float,
+             help="accusation threshold to store with explicit --length")
     _add_common(g, "c0", "eps")
-    g.add_argument("--out", required=True, help="output codebook path")
+    g.option("--out", required=True, help="output codebook path")
     g.set_defaults(func=cmd_generate)
 
     a = subs.add_parser("attack", help="forge a pirate copy from a coalition")
-    a.add_argument("--codebook", required=True)
-    a.add_argument("--users", type=_list_of(int, "integer"), required=True,
-                   help="comma-separated coalition user ids")
+    a.option("--codebook", required=True)
+    a.option("--users", type=_list_of(int, "integer"), required=True,
+             help="comma-separated coalition user ids")
     _add_common(a, "strategy")
-    a.add_argument("--out", required=True, help="output pirate-copy path ('-' stdout)")
+    a.option("--out", required=True, help="output pirate-copy path ('-' stdout)")
     a.set_defaults(func=cmd_attack)
 
     t = subs.add_parser("trace", help="score all users against a pirate copy")
-    t.add_argument("--codebook", required=True)
-    t.add_argument("--pirate", required=True, help="pirate-copy text file")
-    t.add_argument("--threshold", "-Z", type=float, default=None,
-                   help="accusation threshold (default: from codebook params)")
-    t.add_argument("--out", default="-", help="accusation CSV path ('-' stdout)")
+    t.option("--codebook", required=True)
+    t.option("--pirate", required=True, help="pirate-copy text file")
+    t.option("--threshold", "-Z", type=float,
+             help="accusation threshold (default: from codebook params)")
+    t.option("--out", default="-", help="accusation CSV path ('-' stdout)")
     t.set_defaults(func=cmd_trace)
 
-    s = subs.add_parser("search", help="randomized search for the smallest "
-                                       "length coefficient")
-    s.add_argument("--c0", type=_positive_int, required=True)
-    s.add_argument("--eps1", type=float, default=1e-10)
+    s = subs.add_parser("search", help="randomized search for the smallest length coefficient")
+    s.option("--c0", type=_positive_int, required=True)
+    s.option("--eps1", type=float, default=1e-10)
     target = s.add_mutually_exclusive_group()
-    target.add_argument("--eps2", type=float, default=None)
-    target.add_argument("--ratio", type=float, default=None,
-                        help="ln(eps2)/ln(eps1), in place of --eps2")
-    s.add_argument("--iterations", type=_positive_int, required=True)
-    s.add_argument("--out", default="-")
+    s.option("--eps2", type=float, group=target)
+    s.option("--ratio", type=float, group=target, help="ln(eps2)/ln(eps1), in place of --eps2")
+    s.option("--iterations", type=_positive_int, required=True)
+    s.option("--out", default="-")
     s.set_defaults(func=cmd_search)
 
     tb = subs.add_parser("table", help="search over a grid of (ratio, c0) cells")
-    tb.add_argument("--c0-list", type=_list_of(_positive_int, "positive integer"), required=True)
-    tb.add_argument("--ratio-list", type=_list_of(float, "number"), required=True)
-    tb.add_argument("--iterations", type=_positive_int, required=True)
-    tb.add_argument("--eps1", type=float, default=1e-10)
-    tb.add_argument("--out", default="-")
+    tb.option("--c0-list", type=_list_of(_positive_int, "positive integer"), required=True)
+    tb.option("--ratio-list", type=_list_of(float, "number"), required=True)
+    tb.option("--iterations", type=_positive_int, required=True)
+    tb.option("--eps1", type=float, default=1e-10)
+    tb.option("--out", default="-")
     tb.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("predict", help="moment, length, threshold, and "
-                                        "normal-range report")
-    p.add_argument("--c0", type=_positive_int, required=True)
-    p.add_argument("--coalition", "-c", type=_positive_int, default=None,
-                   help="actual coalition size (default c0)")
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--length", "-m", type=_positive_int, default=None,
-                   help="evaluate the threshold interval at this length")
+    p = subs.add_parser("predict", help="moment, length, threshold, and normal-range report")
+    p.option("--c0", type=_positive_int, required=True)
+    p.option("--coalition", "-c", type=_positive_int, help="actual coalition size (default c0)")
+    p.option("--cutoff", type=float)
+    p.option("--eps1", type=float, required=True)
+    p.option("--eps2", type=float, required=True)
+    p.option("--length", "-m", type=_positive_int,
+             help="evaluate the threshold interval at this length")
     _add_common(p, "strategy")
-    p.add_argument("--out", default=None, help="also write a one-row CSV here")
+    p.option("--out", help="also write a one-row CSV here")
     p.set_defaults(func=cmd_predict)
 
-    si = subs.add_parser("simulate", help="Monte Carlo false-positive/negative "
-                                          "rate estimation")
-    si.add_argument("--c0", type=_positive_int, required=True)
-    si.add_argument("--coalition", "-c", type=_positive_int, default=None)
-    si.add_argument("--cutoff", type=float, default=None)
-    si.add_argument("--eps1", type=float, required=True)
-    si.add_argument("--eps2", type=float, required=True)
-    si.add_argument("--length", "-m", type=_positive_int, default=None)
-    si.add_argument("--threshold", "-Z", type=float, default=None)
-    si.add_argument("--trials", type=_positive_int, required=True)
-    si.add_argument("--innocents", type=_positive_int, default=100,
-                    help="innocent users sampled per trial")
-    si.add_argument("--bins", type=_positive_int, default=80)
+    si = subs.add_parser("simulate", help="Monte Carlo false-positive/negative rate estimation")
+    si.option("--c0", type=_positive_int, required=True)
+    si.option("--coalition", "-c", type=_positive_int)
+    si.option("--cutoff", type=float)
+    si.option("--eps1", type=float, required=True)
+    si.option("--eps2", type=float, required=True)
+    si.option("--length", "-m", type=_positive_int)
+    si.option("--threshold", "-Z", type=float)
+    si.option("--trials", type=_positive_int, required=True)
+    si.option("--innocents", type=_positive_int, default=100,
+              help="innocent users sampled per trial")
+    si.option("--bins", type=_positive_int, default=80)
     _add_common(si, "strategy")
-    si.add_argument("--out-jsonl", default=None)
-    si.add_argument("--out-hist", default=None)
+    si.option("--out-jsonl")
+    si.option("--out-hist")
     si.set_defaults(func=cmd_simulate)
 
     return parser
@@ -381,60 +391,65 @@ _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _apply_config_defaults(parser, path):
-    """Read key=value defaults and install them on every subparser.
+def _convert(sub, opt, where, text):
+    """``text`` from the config file or TARDOS_SEED, parsed as ``opt``'s flag parses it."""
+    action = opt.action
+    try:
+        if action.const is not True:
+            return (action.type or str)(text)
+        if text.lower() in _BOOLEANS:  # --verbose
+            return _BOOLEANS[text.lower()]
+        raise ValueError("not a boolean (1/true/yes/on or 0/false/no/off)")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        sub.error(f"bad {where}{text!r} for {action.option_strings[0]}: {exc}")
 
-    A key must name an option of the global parser or of some subcommand, and
-    a boolean takes 1/true/yes/on or 0/false/no/off.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_kv_text(fh.read())
-    subparsers = [parser] + [
-        sp for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-        for sp in action.choices.values()
-    ]
-    options = {action.dest for sp in subparsers for action in sp._actions
-               if action.option_strings and action.dest != "help"}
-    unknown = sorted(set(raw) - options)
+
+def _resolve(parser, args):
+    """Set each option of the running subcommand that argv left out, as the
+    module docstring says; a value that fails or is missing exits 2."""
+    sub, config = parser.commands[args.command], {}
+    if "config" in args:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            config = parse_kv_text(text)
+        except ParameterError as exc:
+            sub.error(f"bad config: {exc}")
+    unknown = set(config).difference(parser.options,
+                                     *(p.options for p in parser.commands.values()))
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} (no such option)")
-    for sp in subparsers:
-        for action in (a for a in sp._actions if a.dest in raw):
-            key, value = action.dest, raw[action.dest]
-            if isinstance(action.const, bool):
-                if value.lower() not in _BOOLEANS:
-                    raise ValueError(f"{key}={value!r} is not a boolean "
-                                     "(1/true/yes/on or 0/false/no/off)")
-                value = _BOOLEANS[value.lower()]
-            elif action.type is not None:
-                value = action.type(value)
-            sp.set_defaults(**{key: value})
-            action.required = False
+        sub.error(f"bad config: unknown key {min(unknown)!r} (no such option)")
+    options, given = {**parser.options, **sub.options}, set(vars(args))
+    rival = {d: e for d, o in options.items() for e, p in options.items()
+             if d != e and o.group is p.group is not None}
+    for dest, opt in options.items():
+        if dest in given:
+            continue
+        other = rival.get(dest)
+        if dest in config and other not in given:
+            if other in config:
+                flags = " and ".join(options[d].action.option_strings[0] for d in (dest, other))
+                sub.error(f"bad config: {dest} and {other} exclude each other, as {flags} do")
+            value = _convert(sub, opt, f"config: {dest}=", config[dest])
+        elif dest == "seed" and "TARDOS_SEED" in os.environ:
+            value = _convert(sub, opt, "TARDOS_SEED=", os.environ["TARDOS_SEED"])
+        else:
+            value = opt.default
+        setattr(args, dest, value)
+    missing = ["/".join(o.action.option_strings) for d, o in options.items()
+               if o.required and getattr(args, d) is None]
+    if missing:
+        sub.error(f"the following arguments are required: {', '.join(missing)}")
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-
     parser = build_parser()
-    if known.config is not None:
-        try:
-            _apply_config_defaults(parser, known.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 4
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            print(f"error: bad config: {exc}", file=sys.stderr)
-            return 2
     args = parser.parse_args(argv)
-
-    logging.basicConfig(stream=sys.stderr, level=logging.DEBUG if args.verbose
-                        else logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    _log_resolved(args)
     try:
+        _resolve(parser, args)
+        logging.basicConfig(stream=sys.stderr, level=logging.DEBUG if args.verbose
+                            else logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+        _log_resolved(args)
         return args.func(args)
     except InfeasibleError as exc:  # includes empty windows
         print(f"error: infeasible: {exc}", file=sys.stderr)

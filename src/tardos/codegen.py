@@ -347,25 +347,46 @@ def _write_codebook(path, seed, params, bias, n, chunks):
     head = b"".join([MAGIC, struct.pack("<IQI", VERSION, seed, len(params_blob)), params_blob,
                      struct.pack("<Q", bias.m), bias.p.astype("<f8").tobytes(),
                      struct.pack("<QI", n, _words_per_row(bias.m))])
-    # Write beside the target and rename over it, so a failed save leaves the
-    # previous file intact. Mode "x" creates the file with the permissions a
-    # plain open(path, "wb") would give it.
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(8)}.tmp"
-    fh = open(tmp, "xb")
+    with _atomic_open(path, "wb") as fh:
+        fh.write(head)
+        crc, written = crc64(head), 0
+        for chunk in chunks:
+            part = memoryview(np.ascontiguousarray(chunk))
+            fh.write(part)
+            crc = crc64(part, crc)
+            written += len(chunk)
+            del chunk, part  # before the next chunk is taken
+        if written != n:
+            raise ParameterError(f"{written} rows written, the header says {n}")
+        fh.write(struct.pack("<Q", crc))
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode, **kwargs):
+    """Open ``path`` for writing (``mode`` "w" or "wb") so that it is replaced
+    whole or not at all.
+
+    The data go to a file beside the real path (symlinks resolved), renamed
+    over it on success, so a failure leaves the previous file intact and a
+    symlink keeps pointing at its target. A target that exists but is not a
+    regular file, such as a FIFO or a device, is written in place: a rename
+    would replace the node. Mode "x" creates the file with the permissions a
+    plain open(path, "w") would give a new file; a file it replaces keeps its
+    own, as it would under open(path, "w").
+    """
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(real, mode, **kwargs) as fh:
+            yield fh
+        return
+    tmp = f"{real}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x" + mode[1:], **kwargs)
     try:
+        if os.path.exists(real):
+            os.chmod(tmp, os.stat(real).st_mode & 0o7777)
         with fh:
-            fh.write(head)
-            crc, written = crc64(head), 0
-            for chunk in chunks:
-                part = memoryview(np.ascontiguousarray(chunk))
-                fh.write(part)
-                crc = crc64(part, crc)
-                written += len(chunk)
-                del chunk, part  # before the next chunk is taken
-            if written != n:
-                raise ParameterError(f"{written} rows written, the header says {n}")
-            fh.write(struct.pack("<Q", crc))
-        os.replace(tmp, path)
+            yield fh
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise

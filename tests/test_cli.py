@@ -1,14 +1,15 @@
 """Command line interface: pipelines, formats, determinism, exit codes."""
 
-import argparse
 import functools
 import json
 import math
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -232,15 +233,18 @@ class TestStrategyFlags:
                 "simulate": ["simulate", "--c0", "2", "--eps1", "0.1", "--eps2", "0.3",
                              "--trials", "1", "--innocents", "2"]}[command]
 
-    @pytest.mark.parametrize("order", ["psi-csv first", "strategy first"])
+    @pytest.mark.parametrize("order", ["psi-csv first", "strategy first", "default name"])
     @pytest.mark.parametrize("command", ["attack", "predict", "simulate"])
     def test_strategy_with_psi_csv_is_usage_error(self, codebook_path, tmp_path, run_cli,
                                                   command, order):
         # The table used to win, and --strategy was ignored whatever its value.
+        # In process, the literal "extremal" was the very object argparse held
+        # as the default, and its identity test took the flag as not given.
         psi = tmp_path / "psi.csv"
         psi.write_text("0,0\n1,0.5\n2,1\n")
-        both = (["--psi-csv", str(psi), "--strategy", "nonsense"] if order == "psi-csv first"
-                else ["--strategy", "majority", "--psi-csv", str(psi)])
+        both = {"psi-csv first": ["--psi-csv", str(psi), "--strategy", "nonsense"],
+                "strategy first": ["--strategy", "majority", "--psi-csv", str(psi)],
+                "default name": ["--strategy", "extremal", "--psi-csv", str(psi)]}[order]
         res = run_cli(self._argv(command, codebook_path, tmp_path) + both)
         assert res.code == 2 and res.out == ""
         assert "--strategy" in res.err and "--psi-csv" in res.err
@@ -407,7 +411,9 @@ class TestConfigAndLogging:
         assert res.code == 4
 
     @pytest.mark.parametrize("line, key", [("epsl=0.1", "'epsl'"),
-                                           ("verbose=maybe", "verbose")])
+                                           ("verbose=maybe", "verbose"),
+                                           ("threads=0", "threads='0' for --threads:"),
+                                           ("eps1=x", "eps1='x' for --eps1:")])
     def test_config_typo_is_usage_error(self, tmp_path, run_cli, line, key):
         conf = tmp_path / "conf.txt"
         conf.write_text(line + "\n")
@@ -426,6 +432,57 @@ class TestConfigAndLogging:
         assert res.out == run_cli(SEARCH_ARGS).out
         assert "verbose=False" in res.err
 
+    @staticmethod
+    def _conf(tmp_path, text):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(text)
+        return ["--config", str(conf)]
+
+    @pytest.mark.parametrize("argv", [["--eps2", "0.01"], ["--ratio", "0.2"]])
+    def test_flag_drops_the_config_value_of_its_partner(self, tmp_path, run_cli, argv):
+        # The config's ratio (or eps2) used to beat the explicit --eps2 (or --ratio).
+        search = ["search", "--c0", "4", *argv, "--iterations", "4096"]
+        conf = self._conf(tmp_path, "eps2=0.3\n" if "--ratio" in argv else "ratio=0.3\n")
+        res = run_cli(conf + search)
+        assert res.code == 0, res.err
+        assert res.out == run_cli(search).out and "R=0.3\n" not in res.out
+        assert " eps2=None " in res.err or " ratio=None " in res.err
+
+    def test_strategy_flag_drops_the_config_psi_csv(self, tmp_path, run_cli):
+        psi = tmp_path / "psi.csv"
+        psi.write_text("0,0\n1,1\n2,1\n")
+        predict = ["predict", "--c0", "2", "--eps1", "0.1", "--eps2", "0.3",
+                   "--strategy", "majority"]
+        res = run_cli(self._conf(tmp_path, f"psi_csv={psi}\n") + predict)
+        assert res.code == 0, res.err
+        assert res.out == run_cli(predict).out
+        assert " psi_csv=None " in res.err and " strategy=majority " in res.err
+
+    @pytest.mark.parametrize("command, text", [
+        (["search", "--c0", "4", "--iterations", "100"], "eps2=0.01\nratio=0.3\n"),
+        (["predict", "--c0", "2", "--eps1", "0.1", "--eps2", "0.3"],
+         "strategy=majority\npsi_csv=psi.csv\n"),
+    ])
+    def test_config_values_for_both_partners_are_usage_error(self, tmp_path, run_cli, command,
+                                                             text):
+        res = run_cli(self._conf(tmp_path, text) + command)
+        assert res.code == 2 and res.out == ""
+        line = res.err.splitlines()[-1]
+        keys = [kv.split("=")[0] for kv in text.split()]
+        assert all(k in line and "--" + k.replace("_", "-") in line for k in keys), line
+
+    def test_config_value_is_parsed_by_the_running_subcommand(self, codebook_path, tmp_path,
+                                                              run_cli):
+        # users is a list under attack and one integer under generate; the
+        # value was parsed by both, and failed the second. A value for an
+        # option of another subcommand is not parsed at all.
+        attack = ["attack", "--codebook", str(codebook_path), "--out", str(tmp_path / "y.txt")]
+        assert run_cli(attack + ["--users", "3,4"]).code == 0
+        explicit = (tmp_path / "y.txt").read_text()
+        res = run_cli(self._conf(tmp_path, "users=3,4\nc0_list=x\n") + attack)
+        assert res.code == 0, res.err
+        assert (tmp_path / "y.txt").read_text() == explicit
+
     def test_resolved_settings_logged(self, run_cli):
         res = run_cli(["--seed", "7"] + SEARCH_ARGS)
         assert "resolved config:" in res.err
@@ -435,6 +492,66 @@ class TestConfigAndLogging:
         res = run_cli(["--help"])
         assert res.code == 0
         assert "generate" in res.out and "simulate" in res.out
+
+
+class TestAtomicOutputs:
+    """Every output file is written beside its target and renamed over it."""
+
+    @staticmethod
+    def _argv(command, out):
+        return {"generate": ["--seed", "3", "generate", "--users", "30", "--length", "100",
+                             "--cutoff", "0.01", "--out", str(out)],
+                "search": SEARCH_ARGS + ["--out", str(out)]}[command]
+
+    @pytest.mark.parametrize("command", ["generate", "search"])
+    def test_symlink_out_keeps_the_link(self, tmp_path, run_cli, command):
+        # The codebook writer used to replace the link with a regular file.
+        assert run_cli(self._argv(command, tmp_path / "plain")).code == 0
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert run_cli(self._argv(command, link)).code == 0
+        assert link.is_symlink() and target.read_bytes() == (tmp_path / "plain").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "target"]
+
+    @pytest.mark.parametrize("command", ["generate", "search"])
+    def test_replaced_out_keeps_its_permissions(self, tmp_path, run_cli, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+        assert run_cli(self._argv(command, out)).code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_bytes() != b"old"
+
+    @pytest.mark.parametrize("command", ["generate", "search"])
+    def test_fifo_out_is_written_in_place(self, tmp_path, run_cli, command):
+        # A rename would put a regular file where the FIFO was, and its reader
+        # would wait forever.
+        assert run_cli(self._argv(command, tmp_path / "plain")).code == 0
+        fifo, got = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        res = run_cli(self._argv(command, fifo))
+        reader.join(timeout=60)
+        assert res.code == 0 and not reader.is_alive()
+        assert got == [(tmp_path / "plain").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, run_cli, monkeypatch):
+        class Result:
+            A = B = t = L = alpha1 = alpha2 = c0 = 1.0
+
+            @property
+            def R(self):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module.bounds, "search_min_A", lambda *a: Result())
+        out = tmp_path / "out.txt"
+        out.write_text("old\n")
+        res = run_cli(SEARCH_ARGS + ["--out", str(out)])
+        assert res.code == 4 and "disk full" in res.err
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestColdStart:
@@ -489,7 +606,7 @@ class TestExitCodes:
         monkeypatch.setenv("TARDOS_SEED", seed)
         res = run_cli(gen)
         assert res.code == 2
-        assert "--seed" in res.err
+        assert "--seed" in res.err and f"TARDOS_SEED={seed!r}" in res.err
         assert not (tmp_path / "cb.bin").exists()
 
     @pytest.mark.parametrize("seed", [str(2 ** 64), "18446744073709551621"])
@@ -840,19 +957,43 @@ def fuzz_files(tmp_path_factory):
     return {**files, "dir": d, "book": str(book)}
 
 
+@st.composite
+def _config(draw, files):
+    """``--config FILE`` with a few keys valued like their flags, or nothing.
+
+    Keys may name options of other subcommands, and of both options of an
+    exclusive pair. Sizes are bounded as in :func:`_argv`.
+    """
+    values = {"seed": _pick("0", "1", str(2 ** 64 - 1)), "threads": _size(4),
+              "verbose": _pick("0", "yes", "Off"), "users": _size(20), "length": _size(2000),
+              "cutoff": CUTOFF, "threshold": THRESHOLD, "c0": _size(8), "eps1": EPS,
+              "eps2": EPS, "ratio": RATIO, "coalition": _size(8), "innocents": _size(10),
+              "bins": _size(100), "strategy": _pick("extremal", "interleave", "majority"),
+              "psi_csv": st.sampled_from([files[k] for k in ("psi", "bad_psi", "missing")])}
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=4))
+    if not keys:
+        return []
+    path = files["dir"] / "config"
+    path.write_text("".join(f"{k}={draw(values[k])}\n" for k in keys))
+    return ["--config", draw(st.sampled_from([str(path)] * 7 + [files["missing"]]))]
+
+
 @functools.lru_cache(maxsize=None)
 def _parsers():
     """The global parser and its subcommand parsers by name."""
     parser = cli_module.build_parser()
-    return parser, next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
+    return parser, parser.commands
+
+
+def _options_of(argv):
+    """The options (dest: table entry) of the global parser and of the subcommand of ``argv``."""
+    parser, subs = _parsers()
+    return {**parser.options, **subs[next(a for a in argv if a in subs)].options}
 
 
 def _flags_of(argv):
     """The flags of the global parser and of the subcommand ``argv`` runs."""
-    parser, subs = _parsers()
-    command = subs[next(a for a in argv if a in subs)]
-    return {s for p in (parser, command) for a in p._actions for s in a.option_strings}
+    return {s for opt in _options_of(argv).values() for s in opt.action.option_strings}
 
 
 class TestCliFuzz:
@@ -860,7 +1001,8 @@ class TestCliFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_every_argv_ends_in_a_documented_exit(self, run_cli, fuzz_files, data):
-        argv = data.draw(_argv(fuzz_files), label="argv")
+        argv = data.draw(_config(fuzz_files), label="config") + data.draw(_argv(fuzz_files),
+                                                                           label="argv")
         res = run_cli(argv)
         assert res.code in (0, 2, 3, 4), res.err
         assert "Traceback" not in res.err
@@ -868,3 +1010,29 @@ class TestCliFuzz:
             line = [ln for ln in res.err.splitlines() if "error:" in ln][-1]
             assert (set(re.findall(r"--[a-z0-9-]+", line)) & _flags_of(argv)
                     or "budget" in line), line
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_argv_options_resolve_to_their_argv_values(self, run_cli, fuzz_files, monkeypatch,
+                                                       data):
+        # Whatever the config file says, an option given in argv is logged with
+        # its argv value. The subcommands are stubbed out: only resolution runs.
+        for name in ("generate", "attack", "trace", "search", "table", "predict", "simulate"):
+            monkeypatch.setattr(cli_module, f"cmd_{name}", lambda args: 0)
+        argv = data.draw(_config(fuzz_files), label="config") + data.draw(_argv(fuzz_files),
+                                                                           label="argv")
+        res = run_cli(argv)
+        assert res.code in (0, 2, 4), res.err
+        if res.code != 0:
+            return
+        line = next(ln for ln in res.err.splitlines() if "resolved config:" in ln) + " "
+        by_flag = {s: (dest, opt.action) for dest, opt in _options_of(argv).items()
+                   for s in opt.action.option_strings}
+        given = {}
+        for flag, text in zip(argv, argv[1:] + [None]):
+            if flag in by_flag and flag != "--config":  # the log leaves the path out
+                dest, action = by_flag[flag]
+                given[dest] = True if action.const is True else (action.type or str)(text)
+        for dest, value in given.items():
+            assert f" {dest}={value} " in line, (dest, value, line)

@@ -320,7 +320,7 @@ class SearchResult:
 
 
 _BLOCK = 4096            # iterations per random block (stream index = block)
-_CHUNK = 512             # rows per prune step inside a block
+_CHUNK = 128             # rows per prune step; bounds the (rows x _GRID) slack temporaries
 _GRID = 256              # alpha2 grid resolution
 _GRID_FACTORS = np.exp(np.linspace(math.log(1e-6), 0.0, _GRID))
 _BISECT_STEPS = 50

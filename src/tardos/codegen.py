@@ -33,7 +33,6 @@ the whole matrix: the reader yields whole 4-row groups of about
 import contextlib
 import functools
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 
@@ -78,7 +77,9 @@ _CRC_MASK = (1 << 64) - 1
 _CRC_CHECK = 0x995DC9BBDF1939FA
 
 
+@functools.cache
 def _crc_tables():
+    """The slice-by-8 tables; built on the first call, which only the fallback makes."""
     base = []
     for i in range(256):
         crc = i
@@ -90,9 +91,6 @@ def _crc_tables():
         prev = tables[k - 1]
         tables.append([(prev[i] >> 8) ^ base[prev[i] & 0xFF] for i in range(256)])
     return tables
-
-
-_CRC_TABLES = _crc_tables()
 
 
 @functools.cache
@@ -131,7 +129,7 @@ def crc64(data, crc=0):
         octets = np.frombuffer(buf, dtype=np.uint8)
         return fast(octets.ctypes.data, octets.size, crc)
     state = crc ^ _CRC_MASK
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    t0, t1, t2, t3, t4, t5, t6, t7 = _crc_tables()
     head = len(buf) - len(buf) % 8
     for word in np.frombuffer(buf[:head], dtype="<u8").tolist():
         v = state ^ word
@@ -379,7 +377,7 @@ def _atomic_open(path, mode, **kwargs):
         with open(real, mode, **kwargs) as fh:
             yield fh
         return
-    tmp = f"{real}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{real}.{os.urandom(8).hex()}.tmp"  # secrets would load hashlib and libcrypto
     fh = open(tmp, "x" + mode[1:], **kwargs)
     try:
         if os.path.exists(real):

@@ -50,7 +50,7 @@ class EmptyWindowError(InfeasibleError):
 
 
 class CapacityError(TardosError):
-    """The requested codebook exceeds the configured memory budget."""
+    """The requested codebook or simulation exceeds its memory or bit budget."""
 
 
 class CodebookFormatError(TardosError, OSError):

@@ -128,21 +128,26 @@ def keys(seed, tag, lo, hi):
     return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
 
 
+_KEY_PIECE = 4096  # indices keyed at once: keys' temporaries take about 150 bytes an index
+
+
 def _stream_range(seed, tag, lo, hi):
     """Yield the generators of streams ``lo .. hi-1`` of ``tag``, in index order.
 
     Each draws what :func:`stream` gives for its index, but all of them are
     one Philox, re-keyed from :func:`keys` through its ``state`` setter, so a
-    yielded generator is valid only until the next one is yielded.
+    yielded generator is valid only until the next one is yielded. Keys are
+    derived ``_KEY_PIECE`` indices at a time, so a long span holds no more.
     """
     gen = np.random.Generator(np.random.Philox(0))  # its key is replaced below
     zeros = np.zeros(4, dtype=np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys(seed, tag, lo, hi):
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
-        yield gen
+    for first in range(lo, hi, _KEY_PIECE):
+        for key in keys(seed, tag, first, min(first + _KEY_PIECE, hi)):
+            state["state"]["key"] = key
+            gen.bit_generator.state = state
+            yield gen
 
 
 def thresholds(p):

@@ -12,12 +12,15 @@ are only drawn in the forged copy's one-columns.
 Aggregates are deterministic for a fixed (config, seed) and independent of
 the thread count: a trial is a function of its index, drawn from its own
 counter-based random substream, and returns its outcome; :func:`run`
-concatenates the outcomes in trial order. A trial draws and scores its
-innocent rows a block of at most 2^16 bits at a time, in row order, so its
-working set does not grow with ``innocents_per_trial``: one block's raw words,
-bits and float64 copy, about 1 MB (0.7 MB traced at 1000 innocents x ~1219
-evidence columns). Past that, an innocent score costs 8 bytes, and 16 while
-the trials' scores are joined.
+copies the outcomes, in trial order, into arrays it allocates up front. A
+trial draws its coalition one row at a time and draws and scores its innocent
+rows a block of at most 2^16 bits at a time, in row order, so its working set
+does not grow with ``innocents_per_trial``: one block's raw words, bits and
+float64 copy, about 1 MB (0.7 MB traced at 1000 innocents x ~1219 evidence
+columns). Past that, an innocent score costs 8 bytes (16 with
+``keep_scores``), a cost :func:`run` checks against a byte budget before it
+starts. The KS distance and the histograms work in place on the sorted
+scores, with temporaries of at most one chunk.
 """
 
 import json
@@ -28,7 +31,7 @@ import numpy as np
 
 from .attacks import Strategy, _forge
 from .errors import CapacityError, ParameterError
-from .gaussian import MomentSummary, erfc_inv, moments, normal_cdf
+from .gaussian import MomentSummary, moments, normal_cdf
 from .model import ARCSINE, BiasDistribution, SchemeParams, _integer, _positive
 from .rng import SEED_LIMIT, TAG_TRIAL, bernoulli, fan_out, substreams, thresholds
 from .tracer import _score_blocks, _score_pieces
@@ -36,12 +39,13 @@ from .tracer import _score_blocks, _score_pieces
 __all__ = ["SimConfig", "SimReport", "Histogram", "HistogramBundle",
            "run", "score_histograms", "wilson_interval"]
 
-_WILSON_Z = math.sqrt(2.0) * erfc_inv(2.0 * 0.005)  # two-sided 99% normal
+_WILSON_Z = 2.575829303548901  # two-sided 99% normal: sqrt(2) erfc_inv(0.01), correctly rounded
 _CI_METHOD = "wilson-99"
 _HIST_HALF_WIDTH = 6.0
 _BIT_BUDGET = 2 * 10 ** 11
+_SCORE_BYTE_BUDGET = 1 << 30  # 8 bytes a kept score, 16 with keep_scores
 _MAX_BINS = 10 ** 6
-_KS_CHUNK = 1 << 16
+_KS_CHUNK = 1 << 12  # normal_cdf's float64 temporaries: a few times 32 KB
 
 
 def wilson_interval(successes, n, z=_WILSON_Z):
@@ -182,10 +186,17 @@ def _ks_distance(x):
 
 
 def _histogram(sample, bins):
+    """Equal-width bins over +-_HIST_HALF_WIDTH of ``sample``, which must be sorted.
+
+    Bin i counts the values in [edge i, edge i + 1), as ``np.histogram`` does,
+    and the edge bins also take the tails. So each count is a difference of
+    the positions of the inner edges in the sorted sample, and nothing of the
+    sample's size is allocated.
+    """
     half = _HIST_HALF_WIDTH
-    counts, edges = np.histogram(sample, bins=bins, range=(-half, half))
-    counts[0] += np.count_nonzero(sample < -half)  # the edge bins take the tails
-    counts[-1] += np.count_nonzero(sample > half)
+    edges = np.linspace(-half, half, bins + 1)
+    cuts = np.searchsorted(sample, edges[1:-1], side="left")
+    counts = np.diff(np.concatenate(([0], cuts, [sample.size])))
     width = edges[1] - edges[0]
     density = counts / (sample.size * width)
     return Histogram(edges=tuple(float(e) for e in edges),
@@ -199,7 +210,9 @@ def _trial(cfg, dist, k):
     g_bias, g_rows, g_forge, g_innocent = substreams(cfg.seed, TAG_TRIAL, k, 4)
     p = dist.sample(m, g_bias)
     thr = thresholds(p)
-    rows = bernoulli(g_rows, thr, (cfg.c, m)).astype(np.uint8)
+    rows = np.empty((cfg.c, m), dtype=np.uint8)
+    for row in rows:  # one row's raw words at a time; the same words in the same order
+        row[:] = bernoulli(g_rows, thr, m)
     y = _forge(rows, cfg.strategy, g_forge)  # rows are bits; SimConfig checked the strategy
     mask, w, base = _score_pieces(y, p)
     rows, thr = rows[:, mask], thr[mask]  # evidence columns only; F-ordered: see _score_blocks
@@ -216,18 +229,29 @@ def run(cfg):
     """Execute the campaign and aggregate rates, moments, and histograms."""
     m, Z, c = cfg.params.m, cfg.params.Z, cfg.c
     K, trials = cfg.innocents_per_trial, cfg.trials
+    N = trials * K
     if trials * (K + c) * m > _BIT_BUDGET:
         raise CapacityError(
             f"simulation would draw {trials} x {K + c} x {m} bits; "
             f"budget is {_BIT_BUDGET:.2e}")
+    score_bytes = N * (16 if cfg.keep_scores else 8)
+    if score_bytes > _SCORE_BYTE_BUDGET:
+        raise CapacityError(
+            f"simulation would keep {N} innocent scores, {score_bytes:.2e} bytes; "
+            f"score byte budget is {_SCORE_BYTE_BUDGET:.2e}")
     dist = BiasDistribution(kind=ARCSINE, t=cfg.params.t)
     predicted = moments(cfg.strategy, c, cfg.params.t)
-    fn, accused, coal_total, coal_max, *sums, normalized, raw = zip(
-        *fan_out(lambda k: _trial(cfg, dist, k), trials, cfg.threads))
-    N = trials * K
+    normalized = np.empty(N)
+    raw = np.empty(N) if cfg.keep_scores else None
+    outcomes = []
+    for k, (*outcome, trial_normalized, trial_raw) in enumerate(
+            fan_out(lambda k: _trial(cfg, dist, k), trials, cfg.threads)):
+        normalized[k * K:(k + 1) * K] = trial_normalized
+        if raw is not None:
+            raw[k * K:(k + 1) * K] = trial_raw
+        outcomes.append(outcome)
+    fn, accused, coal_total, coal_max, *sums = zip(*outcomes)
     s1, s2, s3, s4 = (float(np.sum(s)) for s in sums)
-    normalized = np.concatenate(normalized)
-    raw = np.concatenate(raw) if cfg.keep_scores else None
 
     mean_inn = s1 / N
     m2 = s2 / N - mean_inn ** 2
@@ -248,7 +272,7 @@ def run(cfg):
     scale = predicted.sigma_scaled * math.sqrt(m)
     coal_norm = (coal - predicted.mu_scaled * m) / scale
     ks_coal = _ks_distance(coal_norm)
-    bundle = HistogramBundle(
+    bundle = HistogramBundle(  # _histogram counts from the samples _ks_distance sorted
         innocent=_histogram(normalized, cfg.histogram_bins),
         coalition=_histogram(coal_norm, cfg.histogram_bins),
         ks_innocent=ks_inn, ks_coalition=ks_coal)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,24 @@ class TestSearch:
         assert res.A == A
         assert (res.t, res.L, res.alpha1, res.alpha2) == tup
 
+    @pytest.mark.parametrize("chunk", [128, 1])
+    def test_winner_does_not_depend_on_chunk(self, monkeypatch, chunk):
+        # Pruning drops only rows that cannot win, and a strict < keeps the
+        # first row that reaches the minimum, so any chunk finds the winner
+        # that chunks of 512 rows find.
+        cases = [(10, 0.02, 0, 9_000), (80, 0.06, 1, 4097), (3, 0.5, 2, 1_000)]
+
+        def results():
+            return [(_search_block(c0, R, seed, 1, _BLOCK)[:2],
+                     search_min_A(c0=c0, eps1=1e-10, eps2=1e-10 ** R,
+                                  iterations=iterations, seed=seed))
+                    for c0, R, seed, iterations in cases]
+
+        monkeypatch.setattr(bounds, "_CHUNK", 512)
+        want = results()
+        monkeypatch.setattr(bounds, "_CHUNK", chunk)
+        assert results() == want
+
     @pytest.mark.parametrize("c0, R", [(10, 0.02), (80, 0.10), (3, 0.5)])
     def test_block_exact_just_below_cut(self, c0, R):
         # The tightest cut that keeps the block's best must not change it.
@@ -432,6 +451,19 @@ class TestSearchTable:
         for j in range(len(GRID_C0)):
             col = [self._cell(search_table, i, j).A for i in range(len(GRID_R))]
             assert all(b >= a - 0.5 for a, b in zip(col, col[1:]))
+
+    def test_benchmark_table_holds_chunk_sized_temporaries(self):
+        # The analysis benchmark's 12 cells. At 512 rows a chunk, the search's
+        # (rows x _GRID) slack temporaries peaked at 6.6 MB.
+        args = ([10, 20, 40, 80], [0.02, 0.06, 0.10])
+        emit_search_table(*args, iterations=10, seed=0)  # warm caches
+        tracemalloc.start()
+        try:
+            emit_search_table(*args, iterations=50_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_cell_matches_direct_search(self):
         tab = emit_search_table([10, 15], [0.02], iterations=4000, seed=7)

@@ -570,6 +570,16 @@ class TestColdStart:
                 "print('scipy' in sys.modules, m._qagse.cache_info().currsize)")
         assert self.fresh(code) == "False 0"
 
+    def test_cli_import_loads_no_hashlib_and_builds_no_crc_table(self):
+        # secrets would load hashlib and libcrypto, about 4 MB; only crc64's
+        # no-liblzma fallback needs the slice-by-8 tables. numpy 1.x loads
+        # hashlib itself, through numpy.random and secrets.
+        code = ("import sys, numpy; numpy_loads = 'hashlib' in sys.modules; "
+                "import tardos.cli, tardos.codegen as c; "
+                "print('hashlib' in sys.modules and not numpy_loads, "
+                "c._crc_tables.cache_info().currsize)")
+        assert self.fresh(code) == "False 0"
+
     def test_quadrature_loads_quadpack_alone(self):
         # scipy.integrate would load scipy's ODE, BVP and cubature solvers
         # and through them the rest: about 45 MB and 0.4 s.
@@ -679,6 +689,10 @@ class TestExitCodes:
         (["search", "--c0", "4", "--iterations", "10", "--ratio", "1e-320"], "ratio R"),
         (["table", "--c0-list", "4", "--ratio-list", "1e-300", "--iterations", "10"],
          "ratio R"),
+        # Within the bit budget, but 10^9 scores would take 8 GB.
+        (["simulate", "--c0", "2", "--eps1", ".1", "--eps2", ".3", "--length", "100",
+          "--threshold", "5", "--trials", str(10 ** 6), "--innocents", "1000"],
+         "score byte budget"),
     ])
     def test_bad_planner_input_names_the_flag(self, run_cli, tmp_path, argv, flag):
         out = tmp_path / "unused.bin"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tardos import (ParameterError, emit_search_table, forge, gen_matrix, sample_bias,
                     search_min_A, trace)
+from tardos import rng
 from tardos.rng import _stream_range, bernoulli, check_seed, fan_out, keys, stream, thresholds
 
 U64 = 2 ** 64
@@ -167,10 +168,13 @@ def test_keys_outside_u64_rejected(lo, hi):
         keys(0, 2, lo, hi)
 
 
-def test_stream_range_draws_what_stream_draws():
+def test_stream_range_draws_what_stream_draws(monkeypatch):
     lo, hi = 2 ** 32 - 2, 2 ** 32 + 2
-    got = [gen.random(5) for gen in _stream_range(9, 2, lo, hi)]
-    assert np.array_equal(got, [stream(9, 2, j).random(5) for j in range(lo, hi)])
+    want = [stream(9, 2, j).random(5) for j in range(lo, hi)]
+    for piece in (rng._KEY_PIECE, 3, 1):  # keys derived a piece at a time
+        monkeypatch.setattr(rng, "_KEY_PIECE", piece)
+        got = [gen.random(5) for gen in _stream_range(9, 2, lo, hi)]
+        assert np.array_equal(got, want), piece
 
 
 class _GivenWords:

@@ -1,5 +1,6 @@
 """Monte Carlo harness: rates, moments, histograms, determinism."""
 
+import dataclasses
 import io
 import json
 import math
@@ -7,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tardos import (
     CapacityError,
@@ -22,7 +25,7 @@ from tardos import (
     wilson_interval,
 )
 from tardos import simulate
-from tardos.gaussian import normal_cdf
+from tardos.gaussian import erfc_inv, normal_cdf
 from tardos.model import ARCSINE, BiasDistribution
 from tardos.simulate import _KS_CHUNK, _ks_distance
 
@@ -30,6 +33,16 @@ from tardos.simulate import _KS_CHUNK, _ks_distance
 def make_params(c0=6, m=1200, Z=50.0, t=None, n=1000):
     return SchemeParams(n=n, m=m, c0=c0, eps1=1e-2, eps2=0.25,
                         t=(1.0 / (300.0 * c0) if t is None else t), Z=Z)
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWilsonInterval:
@@ -53,6 +66,9 @@ class TestWilsonInterval:
         w1 = np.diff(wilson_interval(10, 100))[0]
         w2 = np.diff(wilson_interval(1000, 10000))[0]
         assert w2 < w1
+
+    def test_default_z_is_the_two_sided_99_percent_point(self):
+        assert simulate._WILSON_Z == math.sqrt(2.0) * erfc_inv(0.01)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -101,6 +117,28 @@ class TestConfigValidation:
                         c=6, trials=10 ** 6, innocents_per_trial=1000, seed=0)
         with pytest.raises(CapacityError):
             run(cfg)
+
+    def test_score_byte_budget_admits_criterion_07(self):
+        # Criterion 07 keeps 10,000 trials x 1000 innocents = 10^7 scores.
+        assert 10 ** 7 * 16 <= simulate._SCORE_BYTE_BUDGET
+
+    def test_score_byte_budget_guard(self):
+        # 10^6 trials x 1000 innocents pass the bit budget at m = 100 (1.0e11
+        # bits), but their 10^9 scores would take 8 GB. The check comes first,
+        # so nothing of that size is allocated or drawn.
+        cfg = SimConfig(params=make_params(m=100, Z=5.0, c0=2), strategy="coin", c=2,
+                        trials=10 ** 6, innocents_per_trial=1000, seed=0)
+        assert cfg.trials * (1000 + 2) * 100 <= simulate._BIT_BUDGET
+        with pytest.raises(CapacityError, match="score byte budget"):
+            run(cfg)
+
+    def test_kept_scores_count_16_bytes(self, monkeypatch):
+        small = SimConfig(params=make_params(m=100, Z=5.0), strategy="coin", c=6,
+                          trials=3, innocents_per_trial=4, seed=0)
+        monkeypatch.setattr(simulate, "_SCORE_BYTE_BUDGET", 8 * 12)
+        assert run(small).innocents_total == 12
+        with pytest.raises(CapacityError, match="score byte budget"):
+            run(dataclasses.replace(small, keep_scores=True))
 
 
 class TestDegenerateThresholds:
@@ -293,6 +331,24 @@ class TestHistogramsAndKs:
         counts = np.asarray(hist.density) * sample.size * 3.0
         assert counts.tolist() == [3.0, 0.0, 1.0, 3.0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(bins=st.integers(1, 100), data=st.data())
+    def test_histogram_matches_np_histogram(self, bins, data):
+        # The np.histogram form that counting by edge positions replaced.
+        half = simulate._HIST_HALF_WIDTH
+        edges = np.linspace(-half, half, bins + 1)
+        pool = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf), [-np.inf, np.inf]])
+        values = st.sampled_from(pool.tolist()) | st.floats(-2.0 * half, 2.0 * half)
+        sample = np.sort(np.array(data.draw(st.lists(values, min_size=1, max_size=60))))
+        counts, want_edges = np.histogram(sample, bins=bins, range=(-half, half))
+        counts[0] += np.count_nonzero(sample < -half)
+        counts[-1] += np.count_nonzero(sample > half)
+        density = counts / (sample.size * (want_edges[1] - want_edges[0]))
+        assert simulate._histogram(sample, bins) == simulate.Histogram(
+            edges=tuple(float(e) for e in want_edges),
+            density=tuple(float(d) for d in density), count=sample.size)
+
     def test_score_histograms_wrapper(self):
         cfg = SimConfig(params=make_params(m=500, Z=20.0), strategy="coin",
                         c=6, trials=30, innocents_per_trial=20, seed=41)
@@ -358,31 +414,34 @@ class TestKsDistance:
         pieces = [normal_cdf(x[lo:lo + _KS_CHUNK]) for lo in range(0, n, _KS_CHUNK)]
         assert np.array_equal(np.concatenate(pieces), whole)
 
+    def test_temporaries_stay_chunk_sized(self):
+        # Desk's 10^5 innocent scores. At 2^16 a chunk, normal_cdf's
+        # temporaries peaked at 5.2 MB.
+        x = np.random.default_rng(3).standard_normal(10 ** 5)
+        _ks_distance(x[:10].copy())  # warm caches
+        assert traced_peak(_ks_distance, x) < 0.6e6
+
 
 class TestMemory:
-    def test_innocent_score_costs_at_most_16_bytes(self):
-        # A trial hands back its normalized innocent scores (8 bytes each) and
-        # no raw copy; the KS distance sorts the joined array in place and
-        # takes the CDF a chunk at a time, and the histogram counts the tails
-        # without a clipped copy. Both sizes exceed one KS chunk; a trial
-        # draws and scores its 4000 x ~100 innocent bits a block of at most
-        # 2^16 bits at a time, so what grows with the trials is the scores.
-        params = make_params(m=200, Z=20.0)
+    def test_innocent_score_costs_at_most_9_bytes(self):
+        # run copies each trial's normalized innocent scores into one array
+        # (8 bytes a score), and no raw copy; the KS distance sorts it in place
+        # and takes the CDF a chunk at a time, and the histogram counts from
+        # the sorted scores. A trial draws and scores its 10^5 x ~30 innocent
+        # bits a block of at most 2^16 bits at a time, so what grows with the
+        # trials is the scores. At 10^6 scores and more, joining the trials'
+        # arrays with np.concatenate (16 bytes a score) outweighed the KS
+        # distance's chunks of 2^16 scores, and this measured 16.0 bytes.
+        params = make_params(m=64, Z=10.0)
 
         def peak(trials):
-            cfg = SimConfig(params=params, strategy="extremal", c=6, trials=trials,
-                            innocents_per_trial=4000, seed=71)
-            tracemalloc.start()
-            try:
-                run(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(run, SimConfig(params=params, strategy="extremal", c=6,
+                                              trials=trials, innocents_per_trial=10 ** 5,
+                                              seed=71))
 
         peak(2)  # warm caches
-        assert 40 * 4000 > _KS_CHUNK
-        small, large = peak(40), peak(80)
-        assert (large - small) / (40 * 4000) <= 16.0
+        small, large = peak(10), peak(20)
+        assert (large - small) / (10 * 10 ** 5) <= 9.0
 
     def test_trial_working_set_stays_under_2_mb(self):
         # Criterion 07's shape. Drawn as one 1000 x ~1219 matrix with its
@@ -402,3 +461,15 @@ class TestMemory:
             tracemalloc.stop()
         assert plan.m == 2438
         assert peak < 2 * 2 ** 20
+
+    def test_coalition_rows_are_drawn_one_at_a_time(self):
+        # Criterion 05's shape: 20 colluders x 10^4 columns. Drawn as one
+        # (c, m) block of raw words with its bool and uint8 copies, the
+        # coalition peaked at 2.0 MB.
+        params = SchemeParams(n=10, m=10_000, c0=20, eps1=1e-3, eps2=0.3,
+                              t=default_cutoff(20), Z=30.0)
+        cfg = SimConfig(params=params, strategy="interleave", c=20, trials=2,
+                        innocents_per_trial=10, seed=1020)
+        dist = BiasDistribution(kind=ARCSINE, t=params.t)
+        simulate._trial(cfg, dist, 0)  # warm caches
+        assert traced_peak(simulate._trial, cfg, dist, 1) < 1e6

@@ -24,7 +24,7 @@ from tardos import (
     save_codebook,
     trace,
 )
-from tardos import codegen, tracer
+from tardos import codegen, rng, tracer
 
 
 def chunk_rows(monkeypatch, m, rows):
@@ -345,3 +345,21 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (name, peak, bound)
+
+    def test_generate_keys_its_row_streams_a_piece_at_a_time(self, tmp_path, monkeypatch):
+        # At m = 64 a slice is 2^17 one-word rows, and rng.keys' temporaries
+        # take about 150 bytes an index: keying this 20,000-row slice at once
+        # peaked at 3.1 MB, and at 2 * 10^5 users at 20 MB.
+        n, bias = 20_000, sample_bias(64, 0.01, seed=3)
+        assert codegen._chunk_rows(1) > n > rng._KEY_PIECE
+        generate_codebook(tmp_path / "warm.bin", 10, bias, seed=5)  # warm caches
+        tracemalloc.start()
+        try:
+            generate_codebook(tmp_path / "a.bin", n, bias, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        monkeypatch.setattr(rng, "_KEY_PIECE", n)  # the whole slice keyed at once
+        generate_codebook(tmp_path / "b.bin", n, bias, seed=5)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
